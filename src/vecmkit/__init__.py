@@ -53,7 +53,6 @@ from .numerics import (
     eigen_moduli,
     generalized_symmetric_eigen,
     log_det,
-    normal_equations_ols,
     ols,
 )
 from .var import (
@@ -92,7 +91,7 @@ from .diagnostics import (
     normality_suite,
     vecm_stability,
 )
-from .irf import IrfResult, ma_coefficients, orthogonalized_irf
+from .irf import IrfResult, ma_coefficients, orthogonalized_irf, orthogonalized_irfs
 from .shock import (
     PipelineResult,
     ShockScenario,

@@ -26,7 +26,7 @@ from . import __version__
 from .diagnostics import adf_test, lag_order_selection, lm_autocorrelation, normality_suite, vecm_stability
 from .errors import ConfigError, MissingColumnError, VecmkitError
 from .formatting import format_table, frame_csv_rows, sig6, write_csv, write_json
-from .irf import orthogonalized_irf
+from .irf import orthogonalized_irfs
 from .quarterly import (
     DEFAULT_SCHEMA,
     Frame,
@@ -379,11 +379,10 @@ def _cmd_irf(config: RunConfig, out: Path) -> list[Path]:
     frame = _load_dataset(config)
     fit = vecm_to_levels_var(fit_vecm(frame, config.lags, config.rank))
     impulse = config.impulse or frame.names[0]
-    responses = [config.response] if config.response else list(frame.names)
+    responses = [config.response] if config.response else None
     artifacts = []
     payload = {}
-    for response in responses:
-        irf = orthogonalized_irf(fit, config.horizon, impulse, response)
+    for response, irf in orthogonalized_irfs(fit, config.horizon, impulse, responses).items():
         payload[response] = irf.to_dict()
         artifacts.append(
             write_csv(out / f"irf_{impulse}_{response}.csv", ["step", "response"], irf.csv_rows())

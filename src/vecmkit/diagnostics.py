@@ -10,7 +10,9 @@ implied by the maximum lag, per-observation:
     SBIC = (-2 LL + m ln T_eff) / T_eff
     FPE  = ((T_eff + m~) / (T_eff - m~))^K |Sigma|,   m~ = K j + 1
 
-with LL the Gaussian log likelihood under the ML covariance divisor.
+with LL the Gaussian log likelihood under the ML covariance divisor. The
+VAR(j) designs are nested, [1, lags 1..j] being the leading columns of the
+max-lag design, so every lag's fit comes from one QR of the max-lag design.
 """
 
 from __future__ import annotations
@@ -125,15 +127,12 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
             f"{len(frame)} rows are too few to compare lags up to {max_lag}"
         )
     targets = frame.values[max_lag:]
-    all_lags = lag_matrix(frame, max_lag)
-    ones = np.ones((t_eff, 1))
+    widest = ols(targets, np.hstack([np.ones((t_eff, 1)), lag_matrix(frame, max_lag)]))
 
     rows: list[LagCriteriaRow] = []
     prev_ll: float | None = None
     for j in range(max_lag + 1):
-        design = ones if j == 0 else np.hstack([ones, all_lags[:, : k * j]])
-        fit = ols(targets, design)
-        ll = fit.log_likelihood
+        ll = widest.leading(1 + k * j).log_likelihood
         crit = information_criteria(ll, j, k, t_eff)
         if j == 0:
             lr = lr_df = lr_p = None

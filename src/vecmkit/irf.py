@@ -58,23 +58,40 @@ class IrfResult:
         return [(h, float(v)) for h, v in enumerate(self.values)]
 
 
+def orthogonalized_irfs(
+    fit: VarFit, horizon: int, impulse: str, responses=None
+) -> dict[str, IrfResult]:
+    """Response paths, over 0..horizon steps, of each variable in
+    ``responses`` (every variable of the fit by default) to a
+    one-standard-deviation orthogonalized shock in ``impulse``.
+
+    The Cholesky factor and the MA stack are built once and sliced per
+    response; every result shares the one stack as its ``matrices``.
+    """
+    responses = fit.names if responses is None else tuple(responses)
+    for label, names in (("impulse", (impulse,)), ("response", responses)):
+        for name in names:
+            if name not in fit.names:
+                raise DomainError(f"{label} variable {name!r} is not in the fit: {fit.names}")
+    chol = cholesky_lower(fit.sigma)
+    mats = np.stack([phi @ chol for phi in ma_coefficients(fit, horizon)])
+    i = fit.names.index(impulse)
+    return {
+        response: IrfResult(
+            horizon=horizon,
+            impulse=impulse,
+            response=response,
+            values=mats[:, fit.names.index(response), i].copy(),
+            ordering=fit.names,
+            matrices=mats,
+        )
+        for response in responses
+    }
+
+
 def orthogonalized_irf(
     fit: VarFit, horizon: int, impulse: str, response: str
 ) -> IrfResult:
     """Response path of one variable to a one-standard-deviation
     orthogonalized shock in another, over 0..horizon steps."""
-    for label, name in (("impulse", impulse), ("response", response)):
-        if name not in fit.names:
-            raise DomainError(f"{label} variable {name!r} is not in the fit: {fit.names}")
-    chol = cholesky_lower(fit.sigma)
-    mats = np.stack([phi @ chol for phi in ma_coefficients(fit, horizon)])
-    i = fit.names.index(impulse)
-    j = fit.names.index(response)
-    return IrfResult(
-        horizon=horizon,
-        impulse=impulse,
-        response=response,
-        values=mats[:, j, i].copy(),
-        ordering=fit.names,
-        matrices=mats,
-    )
+    return orthogonalized_irfs(fit, horizon, impulse, (response,))[response]

@@ -1,15 +1,21 @@
 """Dense linear-algebra and distribution primitives shared by the estimators.
 
-Least squares goes through a QR factorization (conditioning of
-near-collinear macro panels); the explicit normal-equations form exists only
-as a test oracle. Positive definiteness is decided by Cholesky pivots
-exceeding 1e-12, and symmetry is checked at 1e-8 relative tolerance.
+Least squares goes through one LAPACK QR factorization per design
+(conditioning of near-collinear macro panels). The fit keeps its factors, so
+the fit on any leading block of columns is a triangular solve on the leading
+block of R, not a second factorization; nested models such as the VAR(j)
+of a lag search come from one QR of the widest design.
+
+Cholesky factors come from LAPACK. Positive definiteness is decided by
+pivots exceeding 1e-12: when LAPACK fails or its smallest pivot is within
+that tolerance, the column-by-column pivot search runs to name the failing
+pivot. Symmetry is checked at 1e-8 relative tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +64,8 @@ class OlsFit:
     coefficients: np.ndarray  # m x K
     residuals: np.ndarray  # T x K
     sigma: np.ndarray  # K x K
+    # Y, X, R and Q'Y of the design's QR factorization, for leading()
+    _factors: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def nobs(self) -> int:
@@ -79,9 +87,44 @@ class OlsFit:
             ) from exc
         return -0.5 * t * (k * LOG_2PI + k + ld)
 
+    def leading(self, m: int) -> "OlsFit":
+        """The fit of Y on the first m columns of X, from the stored QR.
+
+        Householder QR treats the columns in order, so the leading m x m
+        block of R and the first m entries of Q'Y are the factors of X[:, :m]
+        (Golub & Van Loan, Matrix Computations, 5.2); the result matches
+        ``ols(Y, X[:, :m])`` to rounding.
+        """
+        y, x, r, qty = self._factors
+        if not 1 <= m <= x.shape[1]:
+            raise DomainError(f"leading width must lie in 1..{x.shape[1]}, got {m}")
+        return _solve_qr(y, x[:, :m], r[:m, :m], qty[:m])
+
+
+def _solve_qr(y: np.ndarray, x: np.ndarray, r: np.ndarray, qty: np.ndarray) -> OlsFit:
+    t, m = x.shape
+    diag = np.abs(np.diag(r))
+    if diag.min() <= max(t, m) * np.finfo(float).eps * max(diag.max(), 1.0):
+        raise SingularDesignError(
+            f"design matrix is rank deficient (column pivot {int(diag.argmin())})"
+        )
+    coef = np.linalg.solve(r, qty)
+    resid = y - x @ coef
+    sigma = resid.T @ resid / t
+    return OlsFit(
+        coefficients=coef,
+        residuals=resid,
+        sigma=0.5 * (sigma + sigma.T),
+        _factors=(y, x, r, qty),
+    )
+
 
 def ols(y, x) -> OlsFit:
-    """Multivariate least squares via QR; raises on rank deficiency."""
+    """Multivariate least squares via QR; raises on rank deficiency.
+
+    The returned fit keeps the factors, so ``fit.leading(m)`` gives the fit
+    on the first m regressors without factoring again.
+    """
     y = _as_matrix(y, "Y")
     x = _as_matrix(x, "X")
     t, m = x.shape
@@ -90,27 +133,28 @@ def ols(y, x) -> OlsFit:
     if t <= m:
         raise InsufficientDataError(f"need more observations ({t}) than regressors ({m})")
     q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= max(t, m) * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise SingularDesignError(
-            f"design matrix is rank deficient (column pivot {int(diag.argmin())})"
-        )
-    coef = np.linalg.solve(r, q.T @ y)
-    resid = y - x @ coef
-    sigma = resid.T @ resid / t
-    return OlsFit(coefficients=coef, residuals=resid, sigma=0.5 * (sigma + sigma.T))
-
-
-def normal_equations_ols(y, x) -> np.ndarray:
-    """(X'X)^-1 X'Y. Test oracle only; not used by the estimators."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.linalg.solve(x.T @ x, x.T @ y)
+    return _solve_qr(y, x, r, q.T @ y)
 
 
 def cholesky_lower(a) -> np.ndarray:
-    """Lower-triangular L with L L' = A; reports the failing pivot otherwise."""
+    """Lower-triangular L with L L' = A; reports the failing pivot otherwise.
+
+    LAPACK computes L. Only when it fails, or when its smallest pivot
+    diag(L)^2 is within PIVOT_TOL, does the pivot search below run, so a
+    rejected input names the same pivot whichever way it was found.
+    """
     a = _require_symmetric(_as_matrix(a, "A"), "A")
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return _cholesky_pivots(a)
+    if float(np.min(np.diag(lower))) ** 2 <= PIVOT_TOL:
+        return _cholesky_pivots(a)
+    return lower
+
+
+def _cholesky_pivots(a: np.ndarray) -> np.ndarray:
+    """Column-by-column Cholesky that raises at the first pivot <= PIVOT_TOL."""
     n = a.shape[0]
     lower = np.zeros_like(a)
     for j in range(n):

@@ -27,7 +27,7 @@ from .errors import (
     PipelineStageError,
     VecmkitError,
 )
-from .irf import IrfResult, orthogonalized_irf
+from .irf import IrfResult, orthogonalized_irfs
 from .quarterly import Frame, QuarterIndex, Series, difference_series, first_difference
 from .var import ExogenousBlock, VarFit, fit_var, forecast_var
 from .vecm import fit_vecm, forecast_vecm
@@ -168,10 +168,7 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
             columns.append(np.concatenate([d_frame.column(name), stage2_forecast.column(name)]))
     stage3_frame = Frame(d_frame.start, frame.names, np.column_stack(columns))
     fit3 = _stage(3, fit_var, stage3_frame, p3)
-    irfs = {
-        name: _stage(3, orthogonalized_irf, fit3, horizon, target, name)
-        for name in frame.names
-    }
+    irfs = _stage(3, orthogonalized_irfs, fit3, horizon, target)
 
     audit = {
         "scenario": scenario.to_dict(),

@@ -152,8 +152,9 @@ def _concentrate(frame: Frame, k: int):
         parts.append(dx[k - 1 - j : t - 1 - j])
     z2 = np.hstack(parts)
 
-    r0 = ols(z0, z2).residuals
-    r1 = ols(z1, z2).residuals
+    resid = ols(np.hstack([z0, z1]), z2).residuals  # one QR of z2 for both
+    r0 = resid[:, :n_vars]
+    r1 = resid[:, n_vars:]
     s00 = r0.T @ r0 / t_eff
     s01 = r0.T @ r1 / t_eff
     s11 = r1.T @ r1 / t_eff
@@ -191,20 +192,12 @@ def johansen_trace(frame: Frame, k: int) -> JohansenResult:
     )
 
 
-def select_rank(
-    result: JohansenResult,
-    critvals: TraceCriticalValues | None = None,
-) -> int:
+def select_rank(result: JohansenResult) -> int:
     """Smallest r whose trace statistic falls below its 5% critical value;
     K when every candidate rank is rejected."""
     n_vars = result.n_vars
     for r in range(n_vars):
-        cv = (
-            critvals.value(n_vars - r)
-            if critvals is not None
-            else float(result.critical_values[r])
-        )
-        if result.trace_stats[r] < cv:
+        if result.trace_stats[r] < result.critical_values[r]:
             return r
     return n_vars
 

@@ -17,6 +17,7 @@ from vecmkit.errors import (
     DegenerateInputError,
     DomainError,
     InsufficientDataError,
+    SingularDesignError,
 )
 
 from conftest import make_frame, simulate_var, well_specified_vecm_fit
@@ -65,6 +66,23 @@ class TestLagOrderSelection:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             lag_order_selection(make_frame(np.random.default_rng(0).standard_normal((12, 3))), 4)
+
+    def test_collinear_column_raises(self):
+        data = np.random.default_rng(5).standard_normal((60, 2))
+        frame = make_frame(np.column_stack([data, data[:, 0] - 3.0 * data[:, 1]]))
+        with pytest.raises(SingularDesignError):
+            lag_order_selection(frame, 2)
+
+    def test_rows_match_separate_fits(self, panel69):
+        report = lag_order_selection(panel69, 4)
+        targets = panel69.values[4:]
+        ones = np.ones((report.t_eff, 1))
+        lags = vk.lag_matrix(panel69, 4)
+        for row in report.rows:
+            design = np.hstack([ones, lags[:, : 6 * row.lag]])
+            assert row.log_likelihood == pytest.approx(
+                vk.ols(targets, design).log_likelihood, rel=1e-10
+            )
 
     def test_sbic_picks_zero_on_white_noise(self):
         hits = 0

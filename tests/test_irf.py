@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import vecmkit as vk
-from vecmkit import VarFit, ma_coefficients, orthogonalized_irf, vecm_to_levels_var
+from vecmkit import (
+    VarFit,
+    cholesky_lower,
+    ma_coefficients,
+    orthogonalized_irf,
+    orthogonalized_irfs,
+    vecm_to_levels_var,
+)
 from vecmkit.errors import DomainError, NotPositiveDefiniteError
 
 from conftest import (
@@ -161,3 +168,37 @@ class TestOrthogonalizedIrf:
         irf = orthogonalized_irf(fit, 7, impulse="b", response="a")
         assert irf.matrices.shape == (8, 2, 2)
         np.testing.assert_allclose(irf.matrices[0], np.linalg.cholesky(sigma), atol=1e-12)
+
+
+def per_response_oracle(fit, horizon, impulse, response):
+    """One response path built on its own, as before the shared stack."""
+    chol = cholesky_lower(fit.sigma)
+    i, j = fit.names.index(impulse), fit.names.index(response)
+    return np.array([(phi @ chol)[j, i] for phi in ma_coefficients(fit, horizon)])
+
+
+class TestOrthogonalizedIrfs:
+    def test_slices_equal_separate_builds(self, rng):
+        fit = var_fit(
+            [random_stable_var1(rng, 3), 0.1 * rng.standard_normal((3, 3))],
+            random_spd(rng, 3),
+            names=("a", "b", "c"),
+        )
+        irfs = orthogonalized_irfs(fit, 9, "b")
+        assert list(irfs) == ["a", "b", "c"]
+        for name, irf in irfs.items():
+            assert (irf.impulse, irf.response) == ("b", name)
+            np.testing.assert_array_equal(irf.values, per_response_oracle(fit, 9, "b", name))
+            np.testing.assert_array_equal(
+                irf.values, orthogonalized_irf(fit, 9, "b", name).values
+            )
+            assert irf.matrices is irfs["a"].matrices
+
+    def test_selected_responses_in_given_order(self, rng):
+        fit = var_fit([random_stable_var1(rng, 3)], random_spd(rng, 3), names=("a", "b", "c"))
+        assert list(orthogonalized_irfs(fit, 4, "a", ("c", "a"))) == ["c", "a"]
+
+    def test_unknown_response(self, rng):
+        fit = var_fit([np.eye(2) * 0.4], np.eye(2), names=("a", "b"))
+        with pytest.raises(DomainError, match="response"):
+            orthogonalized_irfs(fit, 5, "a", ("b", "z"))

@@ -13,7 +13,6 @@ from vecmkit import (
     eigen_moduli,
     generalized_symmetric_eigen,
     log_det,
-    normal_equations_ols,
     ols,
 )
 from vecmkit.errors import (
@@ -25,6 +24,13 @@ from vecmkit.errors import (
 )
 
 from conftest import random_spd
+
+
+def normal_equations_ols(y, x) -> np.ndarray:
+    """(X'X)^-1 X'Y: the textbook form, as an oracle for the QR fit."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return np.linalg.solve(x.T @ x, x.T @ y)
 
 
 class TestOls:
@@ -83,6 +89,61 @@ class TestOls:
             fit.log_likelihood
 
 
+class TestOlsLeading:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 9),
+        n_eq=st.integers(1, 4),
+        extra_rows=st.integers(1, 60),
+    )
+    def test_matches_ols_on_each_slice(self, seed, width, n_eq, extra_rows):
+        rng = np.random.default_rng(seed)
+        t = width + extra_rows + n_eq
+        x = np.hstack([np.ones((t, 1)), rng.standard_normal((t, width - 1))])
+        y = rng.standard_normal((t, n_eq))
+        full = ols(y, x)
+        for m in range(1, width + 1):
+            nested = full.leading(m)
+            direct = ols(y, x[:, :m])
+            for a, b in (
+                (nested.coefficients, direct.coefficients),
+                (nested.residuals, direct.residuals),
+                (nested.sigma, direct.sigma),
+            ):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
+            assert nested.log_likelihood == pytest.approx(direct.log_likelihood, rel=1e-10)
+
+    def test_design_singular_beyond_m(self, rng):
+        m = 3
+        good = np.hstack([np.ones((40, 1)), rng.standard_normal((40, m - 1))])
+        x = np.hstack([good, 2.0 * good[:, 1:2] - good[:, 2:3], rng.standard_normal((40, 1))])
+        y = rng.standard_normal((40, 2))
+        fits = ols(y, x[:, :m])
+        for w in range(1, m + 1):
+            np.testing.assert_allclose(
+                fits.leading(w).coefficients, ols(y, x[:, :w]).coefficients, atol=1e-10
+            )
+        for w in range(m + 1, x.shape[1] + 1):
+            with pytest.raises(SingularDesignError):
+                ols(y, x[:, :w])
+
+    def test_width_out_of_range(self, rng):
+        fit = ols(rng.standard_normal((20, 1)), rng.standard_normal((20, 3)))
+        for m in (0, 4):
+            with pytest.raises(DomainError):
+                fit.leading(m)
+
+
+def cholesky_loop_oracle(a) -> np.ndarray:
+    """Column-by-column Cholesky, the library's own factor before LAPACK."""
+    n = a.shape[0]
+    lower = np.zeros_like(a)
+    for j in range(n):
+        lower[j, j] = math.sqrt(a[j, j] - lower[j, :j] @ lower[j, :j])
+        lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_array_equal(cholesky_lower(np.eye(3)), np.eye(3))
@@ -97,6 +158,25 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert err.value.pivot == 1
+
+    def test_later_failing_pivot_reported(self):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky_lower(np.diag([2.0, 1.0, -1.0]))
+        assert err.value.pivot == 2
+
+    def test_pivot_within_tolerance_rejected(self):
+        # LAPACK factors this matrix; the PIVOT_TOL test still rejects it
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky_lower(np.diag([1.0, 1e-13]))
+        assert err.value.pivot == 1
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_matches_loop_on_random_spd(self, seed, n):
+        a = random_spd(np.random.default_rng(seed), n)
+        a = 0.5 * (a + a.T)
+        expected = cholesky_loop_oracle(a)
+        err = np.linalg.norm(cholesky_lower(a) - expected) / np.linalg.norm(expected)
+        assert err <= 1e-12
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):

@@ -84,6 +84,18 @@ class TestRunThreeStage:
             neutral.stage2_forecast.values, late.stage2_forecast.values
         )
 
+    def test_stage3_irfs_slice_one_stack(self, panel69):
+        result = run_three_stage(panel69, scenario(panel69))
+        fit = result.stage3_fit
+        chol = vk.cholesky_lower(fit.sigma)
+        mats = [phi @ chol for phi in vk.ma_coefficients(fit, 20)]
+        i = fit.names.index("exchange_rate")
+        assert list(result.irfs) == list(panel69.names)
+        for j, name in enumerate(fit.names):
+            np.testing.assert_array_equal(
+                result.irfs[name].values, np.array([m[j, i] for m in mats])
+            )
+
     def test_shock_locality(self, panel69):
         start = panel69.end.shift(5)
         shocked = run_three_stage(panel69, scenario(panel69, start=start))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecmkit as vk
 from vecmkit import (
@@ -128,6 +130,21 @@ class TestJohansenTrace:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             johansen_trace(make_frame(np.arange(20.0).reshape(10, 2) ** 1.1), 5)
+
+    @given(order=st.permutations(range(6)), k=st.integers(1, 3))
+    @settings(max_examples=30)
+    def test_eigenvalues_invariant_to_column_order(self, panel69, order, k):
+        permuted = vk.Frame(
+            panel69.start,
+            tuple(panel69.names[i] for i in order),
+            panel69.values[:, list(order)],
+        )
+        np.testing.assert_allclose(
+            johansen_trace(permuted, k).eigenvalues,
+            johansen_trace(panel69, k).eigenvalues,
+            rtol=0.0,
+            atol=1e-10,
+        )
 
 
 class TestFitVecm:

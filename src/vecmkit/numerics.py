@@ -71,10 +71,6 @@ class OlsFit:
     def nobs(self) -> int:
         return int(self.residuals.shape[0])
 
-    @property
-    def n_equations(self) -> int:
-        return int(self.residuals.shape[1])
-
     @cached_property
     def log_likelihood(self) -> float:
         t, k = self.residuals.shape

@@ -138,19 +138,6 @@ class Frame:
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "values", _as_readonly(vals))
 
-    @classmethod
-    def from_series(cls, columns: Sequence[Series]) -> "Frame":
-        if not columns:
-            raise EmptyInputError("frame needs at least one column")
-        start = columns[0].start
-        n = len(columns[0])
-        for s in columns[1:]:
-            if s.start != start or len(s) != n:
-                raise QuarterGapError(
-                    f"column {s.name!r} is not aligned with {columns[0].name!r}"
-                )
-        return cls(start, tuple(s.name for s in columns), np.column_stack([s.values for s in columns]))
-
     def __len__(self) -> int:
         return int(self.values.shape[0])
 

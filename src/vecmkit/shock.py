@@ -9,13 +9,13 @@ over the horizon. Stage 3 splices the differenced in-sample data with the
 stage-2 forecasts into one panel where the target is endogenous again, fits
 a VAR, and reads off orthogonalized impulse responses to the target.
 
-Stage-2/3 outputs live on the differenced scale; every result carries an
-explicit scale tag so reports cannot silently mix levels and differences.
+Stage-2/3 outputs live on the differenced scale; the audit records each
+stage's scale so reports cannot silently mix levels and differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,14 +73,6 @@ class PipelineResult:
     stage3_fit: VarFit  # differences, all variables
     irfs: dict[str, IrfResult]  # response name -> IRF to the target impulse
     audit: dict
-    scale_tags: dict = field(
-        default_factory=lambda: {
-            "stage1_forecast": "levels",
-            "shocked_path": "levels",
-            "stage2_forecast": "differences",
-            "stage3_irf": "differences",
-        }
-    )
 
 
 def apply_multiplicative_shock(

@@ -69,6 +69,26 @@ class TestParseConfig:
         assert config.shock["factor"] == 1.3
         assert config.shock["target"] == "exchange_rate"
 
+    @pytest.mark.parametrize(
+        "file_values, overrides, message",
+        [
+            ({"lags": True}, {}, "'lags' must be an integer"),
+            ({"variables": ["a", 1]}, {}, "'variables' must be a list of names"),
+            ({"shock": 3}, {}, "'shock' must be dict"),
+            ({"shock": None}, {}, "'shock' must be dict"),
+            ({}, {"foo.bar": 1}, "unknown config key 'foo.bar'"),
+            ({"shock": {"factor": 2}}, {}, None),
+        ],
+    )
+    def test_value_checks(self, tmp_path, file_values, overrides, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(file_values))
+        if message is None:
+            assert parse_config(str(path), overrides).shock["factor"] == 2
+        else:
+            with pytest.raises(ConfigError, match=message):
+                parse_config(str(path), overrides)
+
 
 class TestDescribe:
     def test_toy_csv(self, tmp_path, capsys):
@@ -208,6 +228,61 @@ class TestCommands:
         lines = (tmp_path / "out" / "lq.csv").read_text().splitlines()
         assert lines[1].startswith("2001,")
         assert float(lines[2].split(",")[1]) == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["describe"], {}),
+        (["adf", "--lags", "3", "--spec", "none"], {"adf_lags": 3, "adf_spec": "none"}),
+        (["lagselect", "--max-lag", "3"], {"max_lag": 3}),
+        (["johansen", "--lags", "3"], {"lags": 3}),
+        (["fit-vec", "--lags", "3", "--rank", "1"], {"lags": 3, "rank": 1}),
+        (["diagnose", "--lm-lags", "3", "--n-eff", "60"], {"lm_lags": 3, "n_eff": 60}),
+        (
+            ["irf", "--impulse", "price", "--response", "employment", "--horizon", "8"],
+            {"impulse": "price", "response": "employment", "horizon": 8},
+        ),
+        (["forecast", "--horizon", "6"], {"horizon": 6}),
+        (["backtest", "--holdout", "6"], {"holdout": 6}),
+        (
+            [
+                "shock", "--target", "exchange_rate", "--factor", "1.1", "--start", "2018Q3",
+                "--stage2-lags", "2", "--stage3-lags", "2", "--exog-lags", "1",
+            ],
+            {
+                "shock.target": "exchange_rate",
+                "shock.factor": 1.1,
+                "shock.start": "2018Q3",
+                "shock.stage2_lags": 2,
+                "shock.stage3_lags": 2,
+                "shock.exog_lags": 1,
+            },
+        ),
+        (
+            [
+                "lq", "--industry-region", "10", "--employment-region", "100",
+                "--industry-nation", "1", "--employment-nation", "100",
+            ],
+            {
+                "lq.industry_region": 10.0,
+                "lq.employment_region": 100.0,
+                "lq.industry_nation": 1.0,
+                "lq.employment_nation": 100.0,
+            },
+        ),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else "",
+)
+def test_flags_reach_config_keys(dataset, tmp_path, argv, expected):
+    out = tmp_path / "out"
+    run_cli("--dataset", str(dataset), "-o", str(out), *argv)
+    audit = json.loads((out / "audit.json").read_text())
+    for key, value in expected.items():
+        block, _, sub = key.rpartition(".")
+        got = audit["parameters"][block][sub] if block else audit["parameters"][key]
+        assert got == value and type(got) is type(value), key
+    assert audit["artifacts"] == sorted({p.name for p in out.iterdir()} - {"audit.json"})
 
 
 class TestErrorReporting:

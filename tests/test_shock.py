@@ -134,8 +134,8 @@ class TestRunThreeStage:
         stage3 = result.audit["stage3"]
         assert stage3["n_rows"] == (len(panel69) - 1) + 12
         assert set(result.irfs) == set(panel69.names)
-        assert result.scale_tags["stage2_forecast"] == "differences"
-        assert result.scale_tags["stage3_irf"] == "differences"
+        assert result.audit["stage2"]["scale"] == "differences"
+        assert result.audit["stage3"]["scale"] == "differences"
 
     def test_shocked_target_is_exogenous_then_endogenous(self, panel69):
         result = run_three_stage(panel69, scenario(panel69))

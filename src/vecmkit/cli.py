@@ -27,7 +27,8 @@ import os
 import platform
 import sys
 from dataclasses import astuple, dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,9 @@ class RunConfig:
 
 def _apply(values: dict, types: dict, key: str, value, name: str) -> None:
     """Check ``value`` against ``types`` and store it in ``values``; a dotted
-    key or a dict value descends into a block. ``name`` is the full key."""
+    key or a dict value descends into a block. ``name`` is the full key.
+    Null is accepted only where the key's default is null, and a boolean
+    is never a number."""
     head, _, rest = key.partition(".")
     expected = types.get(head)
     if expected is None or (rest and not isinstance(expected, dict)):
@@ -115,10 +118,11 @@ def _apply(values: dict, types: dict, key: str, value, name: str) -> None:
         for sub, sub_value in value.items():
             _apply(values[head], expected, sub, sub_value, f"{name}.{sub}")
     else:
-        if value is not None:
+        # null is stored only where the default is null; else it fails the checks
+        if value is not None or reduce(getitem, name.split("."), vars(RunConfig())) is not None:
             if expected is int and isinstance(value, bool):
                 raise ConfigError(f"config key {name!r} must be an integer, got {value!r}")
-            if not isinstance(value, expected):
+            if isinstance(value, bool) or not isinstance(value, expected):
                 kind = expected.__name__ if isinstance(expected, type) else "number"
                 raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
             if expected is list:
@@ -419,7 +423,7 @@ def _cmd_shock(run: _Run) -> None:
         rank=config.rank,
         stage2_lags=shock["stage2_lags"],
         stage3_lags=shock["stage3_lags"],
-        exog_lags=int(shock["exog_lags"] or 0),
+        exog_lags=shock["exog_lags"],
     )
     result = run_three_stage(frame, scenario)
     run.pipeline = result.audit

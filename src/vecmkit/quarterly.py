@@ -117,9 +117,13 @@ class Series:
         return [self.start.shift(i) for i in range(len(self))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """An aligned panel of quarterly series; column order is significant."""
+    """An aligned panel of quarterly series; column order is significant.
+
+    Two frames are equal, and hash alike, when their start, names, shape
+    and every value's bytes agree, so a frame can key a cache by content.
+    """
 
     start: QuarterIndex
     names: tuple[str, ...]
@@ -137,6 +141,17 @@ class Frame:
             raise MissingColumnError("column names must be unique")
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "values", _as_readonly(vals))
+
+    def _key(self) -> tuple:
+        return (self.start, self.names, self.values.shape, self.values.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
         return int(self.values.shape[0])

@@ -78,6 +78,13 @@ class TestParseConfig:
             ({"shock": None}, {}, "'shock' must be dict"),
             ({}, {"foo.bar": 1}, "unknown config key 'foo.bar'"),
             ({"shock": {"factor": 2}}, {}, None),
+            ({"lags": None}, {}, "'lags' must be int, got None"),
+            ({"variables": None}, {}, "'variables' must be list, got None"),
+            ({"shock": {"target": None}}, {}, "'shock.target' must be str, got None"),
+            ({"n_eff": None, "shock": {"factor": 2}}, {}, None),
+            ({"shock": {"factor": 2, "stage2_lags": None}}, {}, None),
+            ({"shock": {"factor": True}}, {}, "'shock.factor' must be number, got True"),
+            ({"lq": {"industry_region": False}}, {}, "'lq.industry_region' must be number, got False"),
         ],
     )
     def test_value_checks(self, tmp_path, file_values, overrides, message):

@@ -127,6 +127,33 @@ class TestLoadFrame:
             panel69.values[0, 0] = 99.0
 
 
+class TestFrameEquality:
+    def test_equal_content_is_equal_and_hashes_alike(self, panel69):
+        twin = Frame(panel69.start, panel69.names, np.array(panel69.values))
+        assert twin is not panel69
+        assert twin == panel69 and not twin != panel69
+        assert hash(twin) == hash(panel69)
+        assert len({twin, panel69}) == 1
+
+    @pytest.mark.parametrize("change", ["start", "names", "value"])
+    def test_any_difference_is_unequal(self, panel69, change):
+        start, names, values = panel69.start, panel69.names, np.array(panel69.values)
+        if change == "start":
+            start = start.next()
+        elif change == "names":
+            names = (*names[:-1], "other")
+        else:
+            values[-1, -1] += 1e-12
+        other = Frame(start, names, values)
+        assert other != panel69 and not other == panel69
+
+    def test_non_frame_is_unequal(self, panel69):
+        assert panel69.__eq__(panel69.values) is NotImplemented
+        assert panel69.__eq__("panel") is NotImplemented
+        assert (panel69 == "panel") is False
+        assert panel69 != 3
+
+
 class TestFirstDifference:
     def test_arithmetic(self):
         out = first_difference(make_frame([1.0, 3.0, 6.0]))

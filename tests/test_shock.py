@@ -16,7 +16,11 @@ from vecmkit.errors import (
     PipelineStageError,
 )
 
+from vecmkit.shock import _frame_stages
+
 from conftest import make_frame, simulate_vecm
+
+FACTORS = (1.00, 1.05, 1.10, 1.15, 1.20)
 
 
 def scenario(frame, **overrides):
@@ -111,6 +115,7 @@ class TestRunThreeStage:
         )
 
     def test_determinism(self, panel69):
+        _frame_stages.cache_clear()
         one = run_three_stage(panel69, scenario(panel69))
         two = run_three_stage(panel69, scenario(panel69))
         np.testing.assert_array_equal(
@@ -190,3 +195,100 @@ class TestRunThreeStage:
         assert fixed.audit["lag_order_source"] == "scenario"
         assert fixed.audit["stage2"]["lag_order"] == 3
         assert fixed.audit["stage3"]["lag_order"] == 2
+
+
+def assert_bit_equal(a, b):
+    """Every PipelineResult field and the audit, bit for bit."""
+    assert a.stage1_forecast == b.stage1_forecast
+    assert a.stage2_forecast == b.stage2_forecast
+    assert a.shocked_path.start == b.shocked_path.start
+    assert a.shocked_path.values.tobytes() == b.shocked_path.values.tobytes()
+    for got, want in zip(
+        (*a.stage3_fit.coef_matrices, a.stage3_fit.const, a.stage3_fit.sigma),
+        (*b.stage3_fit.coef_matrices, b.stage3_fit.const, b.stage3_fit.sigma),
+        strict=True,
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert list(a.irfs) == list(b.irfs)
+    for name in a.irfs:
+        assert a.irfs[name].values.tobytes() == b.irfs[name].values.tobytes()
+    assert a.audit == b.audit
+
+
+class TestFrameStagesCache:
+    @pytest.mark.parametrize("factors", [FACTORS, FACTORS[::-1]], ids=["ascending", "descending"])
+    @pytest.mark.parametrize("lags", [{}, {"stage2_lags": 2, "stage3_lags": 3}], ids=["aic", "explicit"])
+    def test_warm_grid_equals_cold_runs(self, panel69, factors, lags):
+        cold = {}
+        for factor in factors:
+            _frame_stages.cache_clear()
+            cold[factor] = run_three_stage(panel69, scenario(panel69, factor=factor, **lags))
+        _frame_stages.cache_clear()
+        for factor in factors:
+            warm = run_three_stage(panel69, scenario(panel69, factor=factor, **lags))
+            assert_bit_equal(warm, cold[factor])
+        info = _frame_stages.cache_info()
+        assert (info.hits, info.misses) == (len(factors) - 1, 1)
+
+    def test_equal_frame_is_a_hit(self, panel69):
+        twin = vk.Frame(panel69.start, panel69.names, np.array(panel69.values))
+        assert twin is not panel69
+        _frame_stages.cache_clear()
+        first = run_three_stage(panel69, scenario(panel69))
+        second = run_three_stage(twin, scenario(twin))
+        assert _frame_stages.cache_info().hits == 1
+        assert_bit_equal(second, first)
+
+    @pytest.mark.parametrize("change", ["value", "start", "names"])
+    def test_changed_frame_is_a_miss(self, panel69, change):
+        start, names, values = panel69.start, panel69.names, np.array(panel69.values)
+        if change == "value":
+            values[30, 0] = np.nextafter(values[30, 0], np.inf)
+        elif change == "start":
+            start = start.shift(1)
+        else:
+            names = (names[1], names[0], *names[2:])
+        other = vk.Frame(start, names, values)
+        _frame_stages.cache_clear()
+        run_three_stage(panel69, scenario(panel69))
+        warm = run_three_stage(other, scenario(other))
+        info = _frame_stages.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        _frame_stages.cache_clear()
+        assert_bit_equal(warm, run_three_stage(other, scenario(other)))
+
+    def test_stage1_failure_raises_every_time(self, panel69):
+        short = panel69.head(12)
+        bad = scenario(short, vecm_lags=4, horizon=1, start=short.end.next())
+        _frame_stages.cache_clear()
+        for _ in range(2):
+            with pytest.raises(PipelineStageError) as err:
+                run_three_stage(short, bad)
+            assert err.value.stage == 1
+        info = _frame_stages.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_explicit_lags_after_aic_run(self, panel69):
+        _frame_stages.cache_clear()
+        picked = run_three_stage(panel69, scenario(panel69))
+        fixed = run_three_stage(panel69, scenario(panel69, stage2_lags=3, stage3_lags=2))
+        assert picked.audit["lag_order_source"].startswith("aic")
+        assert fixed.audit["lag_order_source"] == "scenario"
+        assert fixed.audit["stage2"]["lag_order"] == 3
+
+
+class TestExogLags:
+    def test_stage2_forecast_by_hand(self, panel69):
+        target = "exchange_rate"
+        result = run_three_stage(
+            panel69, scenario(panel69, exog_lags=1, stage2_lags=2, stage3_lags=2)
+        )
+        assert result.audit["stage2"]["exog_lags"] == 1
+
+        baseline = vk.forecast_vecm(vk.fit_vecm(panel69, 2, 2), 20)
+        spliced = np.concatenate([panel69.column(target), baseline.column(target) * 1.15])
+        block = vk.ExogenousBlock((target,), np.diff(spliced).reshape(-1, 1))
+        fit2 = vk.fit_var(
+            vk.first_difference(panel69).drop(target), 2, exog=block, exog_lags=1
+        )
+        assert result.stage2_forecast == vk.forecast_var(fit2, 20)

@@ -11,6 +11,7 @@ from vecmkit import (
     stability_moduli,
 )
 from vecmkit.errors import CoverageError, InsufficientDataError
+from vecmkit.numerics import ols
 
 from conftest import make_frame, random_stable_var1, simulate_var
 
@@ -235,3 +236,54 @@ class TestForecast:
         default_path = forecast_var(fit, horizon)
         explicit = forecast_var(fit, horizon, exog_path=z[t:])
         np.testing.assert_array_equal(default_path.values, explicit.values)
+
+
+class TestExogLags:
+    """exog_lags=1: X_t on [1, X_{t-1} .. X_{t-p}, z_t, z_{t-1}]."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(515)
+        self.t, self.horizon = 80, 5
+        self.z = rng.standard_normal((self.t + self.horizon, 1))
+        data = simulate_var(
+            (np.array([[0.4, 0.1], [-0.2, 0.3]]),), np.zeros(2), np.eye(2), self.t, rng
+        )
+        data[1:] += np.hstack([0.8 * self.z[1 : self.t], -0.5 * self.z[: self.t - 1]])
+        self.frame = make_frame(data, names=("a", "b"))
+        self.fit = fit_var(self.frame, 2, exog=ExogenousBlock(("z",), self.z), exog_lags=1)
+
+    def test_fit_equals_hand_built_design(self):
+        p, x, z = 2, self.frame.values, self.z
+        rows = range(p, self.t)
+        design = np.array(
+            [[1.0, *x[t - 1], *x[t - 2], z[t, 0], z[t - 1, 0]] for t in rows]
+        )
+        want = ols(x[p:], design)
+        coef = want.coefficients
+        np.testing.assert_allclose(self.fit.const, coef[0], rtol=0, atol=1e-12)
+        for i, a in enumerate(self.fit.coef_matrices):
+            np.testing.assert_allclose(a, coef[1 + 2 * i : 3 + 2 * i].T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(self.fit.exog_coef, coef[5:].T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(self.fit.residuals, want.residuals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(self.fit.sigma, want.sigma, rtol=0, atol=1e-12)
+        assert self.fit.exog_lags == 1
+
+    def test_forecast_recursion_starts_from_last_sample_row(self):
+        fit, t = self.fit, self.t
+        b0, b1 = fit.exog_coef[:, 0], fit.exog_coef[:, 1]
+        history = list(self.frame.values[-2:])
+        want = []
+        for h in range(self.horizon):
+            # step 0's lagged exogenous term is the last in-sample row z_{T-1}
+            x = (
+                fit.const
+                + fit.coef_matrices[0] @ history[-1]
+                + fit.coef_matrices[1] @ history[-2]
+                + b0 * self.z[t + h, 0]
+                + b1 * self.z[t + h - 1, 0]
+            )
+            want.append(x)
+            history.append(x)
+        got = forecast_var(fit, self.horizon)
+        assert got.start == self.frame.end.next()
+        np.testing.assert_allclose(got.values, np.array(want), rtol=0, atol=1e-12)

@@ -34,7 +34,6 @@ from .quarterly import (
     QuarterIndex,
     Series,
     StatsReport,
-    difference_series,
     first_difference,
     lag_matrix,
     load_frame,
@@ -43,8 +42,8 @@ from .quarterly import (
     parse_quarter,
     proxy_quarterly_output,
     summary_stats,
-    write_frame,
 )
+from .formatting import write_frame
 from .numerics import (
     GeneralizedEigenResult,
     OlsFit,

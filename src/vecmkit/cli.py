@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import adf_test, lag_order_selection, lm_autocorrelation, normality_suite, vecm_stability
 from .errors import ConfigError, MissingColumnError, VecmkitError
-from .formatting import format_table, frame_csv_rows, sig6, write_csv, write_json
+from .formatting import format_table, sig6, to_jsonable, write_csv, write_frame, write_json
 from .irf import orthogonalized_irfs
 from .quarterly import DEFAULT_SCHEMA, Frame, load_frame, location_quotient, parse_quarter, summary_stats
 from .shock import ShockScenario, run_three_stage
@@ -96,9 +96,6 @@ class RunConfig:
     seed: int = 0
     shock: dict = field(default_factory=lambda: dict(_SHOCK_DEFAULTS))
     lq: dict = field(default_factory=lambda: dict.fromkeys(_TYPES["lq"]))
-
-    def to_dict(self) -> dict:
-        return {k: (dict(v) if isinstance(v, dict) else v) for k, v in vars(self).items()}
 
 
 def _apply(values: dict, types: dict, key: str, value, name: str) -> None:
@@ -184,6 +181,9 @@ class _Run:
     def csv(self, name: str, header: list[str], rows) -> None:
         self.artifacts.append(write_csv(self.out / name, header, rows))
 
+    def frame_csv(self, name: str, frame: Frame) -> None:
+        self.artifacts.append(write_frame(frame, self.out / name))
+
     def audit(self, command: str) -> dict:
         dataset = self.config.dataset
         digest = None
@@ -196,7 +196,7 @@ class _Run:
                 "numpy": np.__version__,
                 "python": platform.python_version(),
             },
-            "parameters": self.config.to_dict(),
+            "parameters": to_jsonable(self.config),
             "dataset_sha256": digest,
             "artifacts": sorted(a.name for a in self.artifacts),
         }
@@ -361,21 +361,10 @@ def _cmd_forecast(run: _Run) -> None:
             title=f"Dynamic forecast {forecast.start}..{forecast.end}",
         )
     )
-    run.json(
-        "forecast.json",
-        {
-            "start": str(forecast.start),
-            "names": list(forecast.names),
-            "values": forecast.values.tolist(),
-        },
-    )
-    run.csv("forecast.csv", ["quarter", *forecast.names], frame_csv_rows(forecast))
+    run.json("forecast.json", to_jsonable(forecast))
+    run.frame_csv("forecast.csv", forecast)
     for name in forecast.names:
-        run.csv(
-            f"forecast_{name}.csv",
-            ["quarter", name],
-            [[str(q), v] for q, v in zip(forecast.quarters(), forecast.column(name))],
-        )
+        run.frame_csv(f"forecast_{name}.csv", forecast.select([name]))
 
 
 def _cmd_backtest(run: _Run) -> None:
@@ -393,14 +382,8 @@ def _cmd_backtest(run: _Run) -> None:
             "rmse": float(np.sqrt(np.mean(err**2))),
             "mae": float(np.mean(np.abs(err))),
         }
-        run.csv(
-            f"backtest_{name}.csv",
-            ["quarter", "actual", "forecast"],
-            [
-                [str(q), actual[i, j], forecast.values[i, j]]
-                for i, q in enumerate(forecast.quarters())
-            ],
-        )
+        pair = np.column_stack([actual[:, j], forecast.values[:, j]])
+        run.frame_csv(f"backtest_{name}.csv", Frame(forecast.start, ("actual", "forecast"), pair))
     print(
         format_table(
             ["variable", "rmse", "mae"],
@@ -428,16 +411,10 @@ def _cmd_shock(run: _Run) -> None:
     result = run_three_stage(frame, scenario)
     run.pipeline = result.audit
 
-    run.csv("stage1_forecast.csv", ["quarter", *result.stage1_forecast.names], frame_csv_rows(result.stage1_forecast))
-    run.csv(
-        "shocked_path.csv",
-        ["quarter", scenario.target],
-        [
-            [str(q), v]
-            for q, v in zip(result.shocked_path.quarters(), result.shocked_path.values)
-        ],
-    )
-    run.csv("stage2_forecast.csv", ["quarter", *result.stage2_forecast.names], frame_csv_rows(result.stage2_forecast))
+    shocked = result.shocked_path
+    run.frame_csv("stage1_forecast.csv", result.stage1_forecast)
+    run.frame_csv("shocked_path.csv", Frame(shocked.start, (shocked.name,), shocked.values[:, None]))
+    run.frame_csv("stage2_forecast.csv", result.stage2_forecast)
     run.json("stage3_model.json", result.stage3_fit.to_dict())
     for name, irf in result.irfs.items():
         run.csv(f"irf_{scenario.target}_{name}.csv", ["step", "response"], irf.csv_rows())

@@ -28,6 +28,7 @@ from .errors import (
     InsufficientDataError,
     NotPositiveDefiniteError,
 )
+from .formatting import format_table, sig6, to_jsonable
 from .numerics import LOG_2PI, chi_square_sf, cholesky_lower, ols
 from .quarterly import Frame, Series, lag_matrix
 from .vecm import VecmFit, vecm_to_levels_var
@@ -60,16 +61,9 @@ class LagSelectionReport:
     selected: dict  # criterion -> lag (LR entry may be None)
 
     def to_dict(self) -> dict:
-        return {
-            "t_eff": self.t_eff,
-            "n_vars": self.n_vars,
-            "rows": [vars(r) for r in self.rows],
-            "selected": self.selected,
-        }
+        return to_jsonable(self)
 
     def format_table(self) -> str:
-        from .formatting import format_table, sig6
-
         def mark(value: str, criterion: str, lag: int) -> str:
             return value + ("*" if self.selected.get(criterion) == lag else "")
 
@@ -175,7 +169,7 @@ class LmResult:
     p_value: float
 
     def to_dict(self) -> dict:
-        return vars(self).copy()
+        return to_jsonable(self)
 
 
 def lm_autocorrelation(
@@ -292,8 +286,6 @@ class NormalityReport:
         }
 
     def format_table(self) -> str:
-        from .formatting import format_table, sig6
-
         body = []
         for r in self.rows:
             body.append(
@@ -478,12 +470,7 @@ class StabilityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "moduli": self.moduli.tolist(),
-            "unit_count": self.unit_count,
-            "expected_unit_count": self.expected_unit_count,
-            "passed": self.passed,
-        }
+        return to_jsonable(self)
 
 
 def vecm_stability(fit: VecmFit) -> StabilityReport:

@@ -1,7 +1,9 @@
-"""Text-table and JSON emission helpers used by reports and the CLI.
+"""Every artifact format used by reports and the CLI: text tables, the
+JSON encoding of result records (``to_jsonable``) and the quarter-labelled
+CSV layout of frames (``write_frame``).
 
-Text tables print numbers at 6 significant digits; JSON artifacts keep full
-precision so downstream stages can reload models bit-exactly.
+Text tables print numbers at 6 significant digits; JSON and CSV artifacts
+keep full precision so downstream stages can reload models bit-exactly.
 """
 
 from __future__ import annotations
@@ -9,8 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
+
+from .quarterly import QUARTER_COLUMN, Frame, QuarterIndex
 
 
 def sig6(x: float) -> str:
@@ -51,6 +58,23 @@ def format_table(
     return "\n".join(out)
 
 
+def to_jsonable(value):
+    """The JSON form of a result value: a quarter becomes its label, an
+    array a nested list, a tuple or list a list, a dict is mapped item by
+    item and any other dataclass becomes a dict of its fields."""
+    if isinstance(value, QuarterIndex):
+        return str(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_jsonable(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 def write_json(path: str | Path, payload: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -69,5 +93,8 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     return path
 
 
-def frame_csv_rows(frame) -> list[list]:
-    return [[str(q), *row] for q, row in zip(frame.quarters(), frame.values)]
+def write_frame(frame: Frame, path: str | Path) -> Path:
+    """Write a frame as CSV, each row led by its quarter's label;
+    load_frame(write_frame(f, path)) == f."""
+    rows = ([str(q), *row] for q, row in zip(frame.quarters(), frame.values))
+    return write_csv(path, [QUARTER_COLUMN, *frame.names], rows)

@@ -1,6 +1,6 @@
 """Quarterly panel data model: quarter arithmetic, CSV ingestion,
 differencing and lagging, summary statistics, the quarterly output proxy,
-and location quotients.
+and location quotients. ``formatting.write_frame`` writes a frame back to CSV.
 
 Frames are immutable after construction and every operation here is a pure
 function, so values can be shared freely between concurrent readers.
@@ -12,9 +12,9 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -91,23 +91,28 @@ def _as_readonly(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Series:
-    """A named quarterly series with no missing values."""
+class _Quarterly:
+    """Content equality and quarter arithmetic shared by Series and Frame.
 
-    name: str
-    start: QuarterIndex
-    values: np.ndarray
-    units: str = ""
+    Two values of the same class are equal, and hash alike, when their
+    start, label(s), shape and every value's bytes agree, so either can key
+    a cache by content. A Series never equals a Frame.
+    """
 
-    def __post_init__(self) -> None:
-        vals = _as_readonly(np.atleast_1d(np.asarray(self.values, dtype=float)))
-        if vals.ndim != 1 or vals.size < 1:
-            raise EmptyInputError(f"series {self.name!r} must hold at least one value")
-        object.__setattr__(self, "values", vals)
+    def _key(self) -> tuple:
+        labels = (v for k, v in vars(self).items() if k != "values")
+        return (*labels, self.values.shape, self.values.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[0])
 
     @property
     def end(self) -> QuarterIndex:
@@ -118,12 +123,23 @@ class Series:
 
 
 @dataclass(frozen=True, eq=False)
-class Frame:
-    """An aligned panel of quarterly series; column order is significant.
+class Series(_Quarterly):
+    """A named quarterly series with no missing values."""
 
-    Two frames are equal, and hash alike, when their start, names, shape
-    and every value's bytes agree, so a frame can key a cache by content.
-    """
+    name: str
+    start: QuarterIndex
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        vals = _as_readonly(np.atleast_1d(np.asarray(self.values, dtype=float)))
+        if vals.ndim != 1 or vals.size < 1:
+            raise EmptyInputError(f"series {self.name!r} must hold at least one value")
+        object.__setattr__(self, "values", vals)
+
+
+@dataclass(frozen=True, eq=False)
+class Frame(_Quarterly):
+    """An aligned panel of quarterly series; column order is significant."""
 
     start: QuarterIndex
     names: tuple[str, ...]
@@ -142,30 +158,9 @@ class Frame:
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "values", _as_readonly(vals))
 
-    def _key(self) -> tuple:
-        return (self.start, self.names, self.values.shape, self.values.tobytes())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
-
     @property
     def n_columns(self) -> int:
         return int(self.values.shape[1])
-
-    @property
-    def end(self) -> QuarterIndex:
-        return self.start.shift(len(self) - 1)
-
-    def quarters(self) -> list[QuarterIndex]:
-        return [self.start.shift(i) for i in range(len(self))]
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.names:
@@ -260,27 +255,11 @@ def _parse_frame_csv(fh, schema: Sequence[str], source: str) -> Frame:
     return Frame(quarters[0], tuple(schema), np.array(rows, dtype=float))
 
 
-def write_frame(frame: Frame, path: str | Path) -> None:
-    """Write a frame back to CSV; load_frame(write_frame(f)) == f."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([QUARTER_COLUMN, *frame.names])
-        for q, row in zip(frame.quarters(), frame.values):
-            writer.writerow([str(q), *(repr(float(v)) for v in row)])
-
-
 def first_difference(frame: Frame) -> Frame:
     """x_t - x_{t-1} for every column; length shrinks by one quarter."""
     if len(frame) < 2:
         raise InsufficientDataError("first difference needs at least 2 rows")
     return Frame(frame.start.next(), frame.names, np.diff(frame.values, axis=0))
-
-
-def difference_series(series: Series) -> Series:
-    if len(series) < 2:
-        raise InsufficientDataError("first difference needs at least 2 values")
-    return Series(series.name, series.start.next(), np.diff(series.values), series.units)
 
 
 def lag_matrix(frame: Frame, p: int) -> np.ndarray:
@@ -318,11 +297,9 @@ class StatsReport:
     columns: tuple[ColumnStats, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "start": str(self.start),
-            "end": str(self.end),
-            "columns": [vars(c) for c in self.columns],
-        }
+        from .formatting import to_jsonable
+
+        return to_jsonable(self)
 
     def format_table(self) -> str:
         from .formatting import format_table, sig6
@@ -379,7 +356,7 @@ def proxy_quarterly_output(
         if region <= 0 or nation <= 0:
             raise DomainError(f"annual values must be positive (year {year})")
         out[i] = us_quarterly.values[i] * (region / nation)
-    return Series(name, us_quarterly.start, out, us_quarterly.units)
+    return Series(name, us_quarterly.start, out)
 
 
 def location_quotient(

@@ -35,8 +35,9 @@ from .errors import (
     PipelineStageError,
     VecmkitError,
 )
+from .formatting import to_jsonable
 from .irf import IrfResult, orthogonalized_irfs
-from .quarterly import Frame, QuarterIndex, Series, difference_series, first_difference
+from .quarterly import Frame, QuarterIndex, Series, first_difference
 from .var import ExogenousBlock, VarFit, fit_var, forecast_var
 from .vecm import fit_vecm, forecast_vecm
 
@@ -64,9 +65,7 @@ class ShockScenario:
             raise DomainError(f"horizon must be >= 1, got {self.horizon}")
 
     def to_dict(self) -> dict:
-        d = vars(self).copy()
-        d["start"] = str(self.start)
-        return d
+        return to_jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def apply_multiplicative_shock(
         )
     values = np.array(path.values)
     values[offset:] = values[offset:] * factor
-    return Series(path.name, path.start, values, path.units)
+    return Series(path.name, path.start, values)
 
 
 def _stage(n: int, fn, *args, **kwargs):
@@ -178,13 +177,10 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
 
     # Stage 2: splice actual + shocked target, hold the spliced path
     # exogenous, conditionally forecast the rest.
-    spliced = Series(
-        target, frame.start, np.concatenate([frame.column(target), shocked.values])
-    )
-    d_spliced = difference_series(spliced)
+    d_spliced = np.diff(np.concatenate([frame.column(target), shocked.values]))
     endog2 = d_frame.drop(target)
 
-    block = ExogenousBlock((target,), d_spliced.values.reshape(-1, 1))
+    block = ExogenousBlock((target,), d_spliced.reshape(-1, 1))
     fit2 = _stage(2, fit_var, endog2, p2, exog=block, exog_lags=scenario.exog_lags)
     stage2_forecast = _stage(2, forecast_var, fit2, horizon)
 
@@ -193,7 +189,7 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
     columns = []
     for name in frame.names:
         if name == target:
-            columns.append(d_spliced.values)
+            columns.append(d_spliced)
         else:
             columns.append(np.concatenate([d_frame.column(name), stage2_forecast.column(name)]))
     stage3_frame = Frame(d_frame.start, frame.names, np.column_stack(columns))

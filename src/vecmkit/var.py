@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CoverageError, DomainError, InsufficientDataError
+from .formatting import to_jsonable
 from .numerics import eigen_moduli, ols
 from .quarterly import Frame, QuarterIndex, lag_matrix, parse_quarter
 
@@ -69,27 +70,8 @@ class VarFit:
     def n_vars(self) -> int:
         return len(self.names)
 
-    @property
-    def sample_end(self) -> QuarterIndex:
-        return self.sample_start.shift(self.n_sample - 1)
-
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "names": list(self.names),
-            "coef_matrices": [a.tolist() for a in self.coef_matrices],
-            "const": self.const.tolist(),
-            "residuals": self.residuals.tolist(),
-            "sigma": self.sigma.tolist(),
-            "sample_start": str(self.sample_start),
-            "n_sample": self.n_sample,
-            "tail": self.tail.tolist(),
-            "exog_names": list(self.exog_names),
-            "exog_lags": self.exog_lags,
-            "exog_coef": self.exog_coef.tolist(),
-            "exog_values": None if self.exog_values is None else self.exog_values.tolist(),
-            "exog_future": None if self.exog_future is None else self.exog_future.tolist(),
-        }
+        return to_jsonable(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "VarFit":
@@ -217,7 +199,7 @@ def forecast_var(
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     k = fit.n_vars
 
-    exog_ext = None
+    exog_feats = None
     if fit.exog_names:
         future = exog_path if exog_path is not None else fit.exog_future
         future = None if future is None else np.asarray(future, dtype=float)
@@ -236,7 +218,8 @@ def forecast_var(
         past_tail = (
             fit.exog_values[-lags:] if lags > 0 else np.zeros((0, future.shape[1]))
         )
-        exog_ext = np.vstack([past_tail, future])
+        # row h holds step h's features, laid out as in the fit's design
+        exog_feats = _exog_features(np.vstack([past_tail, future]), range(lags, lags + horizon), lags)
     elif exog_path is not None:
         raise CoverageError("fit has no exogenous block but an exogenous path was given")
 
@@ -246,11 +229,8 @@ def forecast_var(
         x = fit.const.copy()
         for i, a in enumerate(fit.coef_matrices, start=1):
             x += a @ history[-i]
-        if exog_ext is not None:
-            feats = np.concatenate(
-                [exog_ext[fit.exog_lags + h - j] for j in range(fit.exog_lags + 1)]
-            )
-            x += fit.exog_coef @ feats
+        if exog_feats is not None:
+            x += fit.exog_coef @ exog_feats[h]
         out[h] = x
         history.append(x)
 

@@ -23,8 +23,9 @@ from .errors import (
     RankError,
     SingularDesignError,
 )
+from .formatting import format_table, sig6, to_jsonable
 from .numerics import cholesky_lower, generalized_symmetric_eigen, ols
-from .quarterly import Frame, QuarterIndex, parse_quarter
+from .quarterly import Frame, QuarterIndex, first_difference, lag_matrix, parse_quarter
 from .var import VarFit, forecast_var
 
 # 5% critical values for the trace statistic, unrestricted-constant case,
@@ -95,20 +96,11 @@ class JohansenResult:
         return len(self.names)
 
     def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "trace_stats": self.trace_stats.tolist(),
-            "critical_values_5pct": self.critical_values.tolist(),
-            "t_eff": self.t_eff,
-            "lags": self.k,
-            "deterministic": self.deterministic,
-            "selected_rank": select_rank(self),
-        }
+        d = to_jsonable(self)
+        d["lags"], d["critical_values_5pct"] = d.pop("k"), d.pop("critical_values")
+        return {**d, "selected_rank": select_rank(self)}
 
     def format_table(self) -> str:
-        from .formatting import format_table, sig6
-
         selected = select_rank(self)
         rows = []
         for r in range(self.n_vars + 1):
@@ -144,13 +136,11 @@ def _concentrate(frame: Frame, k: int):
             f"and {k} lags"
         )
     t_eff = t - k
-    dx = np.diff(frame.values, axis=0)
-    z0 = dx[k - 1 :]
+    d_frame = first_difference(frame)
+    z0 = d_frame.values[k - 1 :]
     z1 = frame.values[k - 1 : t - 1]
-    parts = [np.ones((t_eff, 1))]
-    for j in range(1, k):
-        parts.append(dx[k - 1 - j : t - 1 - j])
-    z2 = np.hstack(parts)
+    lags = [lag_matrix(d_frame, k - 1)] if k > 1 else []
+    z2 = np.hstack([np.ones((t_eff, 1)), *lags])
 
     resid = ols(np.hstack([z0, z1]), z2).residuals  # one QR of z2 for both
     r0 = resid[:, :n_vars]
@@ -235,26 +225,10 @@ class VecmFit:
         """Long-run matrix alpha @ beta'."""
         return self.alpha @ self.beta.T
 
-    @property
-    def sample_end(self) -> QuarterIndex:
-        return self.sample_start.shift(self.n_sample - 1)
-
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "names": list(self.names),
-            "lags": self.k,
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
-            "gammas": [g.tolist() for g in self.gammas],
-            "const": self.const.tolist(),
-            "residuals": self.residuals.tolist(),
-            "sigma": self.sigma.tolist(),
-            "sample_start": str(self.sample_start),
-            "n_sample": self.n_sample,
-            "tail": self.tail.tolist(),
-            "beta_pivot": list(self.beta_pivot),
-        }
+        d = to_jsonable(self)
+        d["lags"] = d.pop("k")
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "VecmFit":

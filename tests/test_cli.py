@@ -187,6 +187,16 @@ class TestCommands:
         assert rows[-1].split(",")[0] == "2023Q1"
         assert (tmp_path / "out" / "forecast_employment.csv").exists()
 
+    def test_forecast_json_is_the_library_forecast(self, dataset, tmp_path):
+        run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "forecast", "--horizon", "6")
+        payload = json.loads((tmp_path / "out" / "forecast.json").read_text())
+        forecast = vk.forecast_vecm(vk.fit_vecm(vk.load_frame(dataset), 2, 2), 6)
+        assert payload == {
+            "start": str(forecast.start),
+            "names": list(forecast.names),
+            "values": forecast.values.tolist(),
+        }
+
     def test_backtest_artifacts(self, dataset, tmp_path):
         run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "backtest", "--holdout", "8")
         for name in vk.DEFAULT_SCHEMA:
@@ -214,6 +224,13 @@ class TestCommands:
         assert audit["pipeline"]["stage2"]["rows_used"] == audit["pipeline"]["stage2"]["n_rows"] - audit["pipeline"]["stage2"]["lag_order"]
         fit = vk.VarFit.from_dict(json.loads((out / "stage3_model.json").read_text()))
         assert fit.names == vk.DEFAULT_SCHEMA
+
+    def test_shocked_path_has_one_row_per_forecast_quarter(self, dataset, tmp_path):
+        run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "shock", "--horizon", "12")
+        lines = (tmp_path / "out" / "shocked_path.csv").read_text().splitlines()
+        forecast_quarters = vk.load_frame(dataset).end.next()
+        assert lines[0] == "quarter,exchange_rate"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(forecast_quarters.shift(i)) for i in range(12)]
 
     def test_lq_flags(self, tmp_path, capsys):
         run_cli(

@@ -154,6 +154,38 @@ class TestFrameEquality:
         assert panel69 != 3
 
 
+class TestSeriesEquality:
+    @pytest.fixture
+    def series(self, panel69):
+        return panel69.series("price")
+
+    def test_equal_content_is_equal_and_hashes_alike(self, series):
+        twin = Series(series.name, series.start, np.array(series.values))
+        assert twin is not series
+        assert twin == series and not twin != series
+        assert hash(twin) == hash(series)
+        assert len({twin, series}) == 1
+
+    @pytest.mark.parametrize("change", ["name", "start", "value"])
+    def test_any_difference_is_unequal(self, series, change):
+        name, start, values = series.name, series.start, np.array(series.values)
+        if change == "name":
+            name = "other"
+        elif change == "start":
+            start = start.next()
+        else:
+            values[-1] += 1e-12
+        other = Series(name, start, values)
+        assert other != series and not other == series
+
+    def test_non_series_is_unequal(self, series, panel69):
+        assert series.__eq__(series.values) is NotImplemented
+        assert series.__eq__("price") is NotImplemented
+        assert series.__eq__(panel69.select(["price"])) is NotImplemented
+        assert series != panel69.select(["price"])
+        assert (series == "price") is False
+
+
 class TestFirstDifference:
     def test_arithmetic(self):
         out = first_difference(make_frame([1.0, 3.0, 6.0]))

@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NotPositiveDefiniteError,
+    SingularDesignError,
 )
 from .formatting import format_table, sig6, to_jsonable
 from .numerics import LOG_2PI, chi_square_sf, cholesky_lower, ols
@@ -172,6 +173,15 @@ class LmResult:
         return to_jsonable(self)
 
 
+def _require_variation(sigma: np.ndarray) -> None:
+    try:
+        cholesky_lower(sigma)
+    except NotPositiveDefiniteError as exc:
+        raise DegenerateInputError(
+            "residuals carry no usable variation (singular covariance)"
+        ) from exc
+
+
 def lm_autocorrelation(
     residuals: np.ndarray,
     lag: int,
@@ -184,6 +194,13 @@ def lm_autocorrelation(
     statistic = (T - m - (K+1)/2) (K - tr(S_r^-1 S_u)), chi-square with K^2
     degrees of freedom, where S_r and S_u are the restricted / unrestricted
     auxiliary residual covariances and m the unrestricted regressor count.
+
+    The design [base, lagged] is factored once: the restricted fit on
+    ``base`` is its leading block (``OlsFit.leading``), which equals a
+    separate fit on ``base`` to rounding. When the full design cannot be
+    fitted, the restricted fit alone decides the error, so residuals with a
+    singular covariance are reported as degenerate, as a separate fit
+    would report them.
     """
     u = np.asarray(residuals, dtype=float)
     if u.ndim != 2:
@@ -201,14 +218,13 @@ def lm_autocorrelation(
     lagged[lag:] = u[:-lag]
     full = np.hstack([base, lagged])
 
-    restricted = ols(u, base)
     try:
-        cholesky_lower(restricted.sigma)
-    except NotPositiveDefiniteError as exc:
-        raise DegenerateInputError(
-            "residuals carry no usable variation (singular covariance)"
-        ) from exc
-    unrestricted = ols(u, full)
+        unrestricted = ols(u, full)
+    except (SingularDesignError, InsufficientDataError):
+        _require_variation(ols(u, base).sigma)
+        raise
+    restricted = unrestricted.leading(base.shape[1])
+    _require_variation(restricted.sigma)
 
     m = full.shape[1]
     trace = float(np.trace(np.linalg.solve(restricted.sigma, unrestricted.sigma)))

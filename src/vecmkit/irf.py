@@ -5,6 +5,13 @@ coefficient matrices of the fitted VAR and P is the Cholesky factor of the
 residual covariance, so a unit impulse is one standard deviation of the
 orthogonalized shock and the variable ordering of the fit decides the
 orthogonalization.
+
+The stack Phi_h P depends only on the fit and the horizon, and a fit never
+changes, so it is built once per (fit, horizon), kept read-only on the fit,
+and shared by every later call: a loop of ``orthogonalized_irf`` over the
+responses factors sigma and runs the MA recursion once, not once per
+response. Two threads racing on one fit may both build a stack; they store
+equal ones.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ def ma_coefficients(fit: VarFit, horizon: int) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class IrfResult:
     """One impulse-response path plus the full K x K response matrices
-    (Phi_h P) retained for audit."""
+    (Phi_h P, read-only and shared with the fit) retained for audit."""
 
     horizon: int
     impulse: str
@@ -58,6 +65,18 @@ class IrfResult:
         return [(h, float(v)) for h, v in enumerate(self.values)]
 
 
+def _orthogonalized_stack(fit: VarFit, horizon: int) -> np.ndarray:
+    """Phi_h P for h = 0..horizon, kept on the fit; a raising call keeps
+    nothing."""
+    stacks = fit._irf_stacks
+    if horizon not in stacks:
+        chol = cholesky_lower(fit.sigma)
+        mats = np.stack([phi @ chol for phi in ma_coefficients(fit, horizon)])
+        mats.setflags(write=False)
+        stacks[horizon] = mats
+    return stacks[horizon]
+
+
 def orthogonalized_irfs(
     fit: VarFit, horizon: int, impulse: str, responses=None
 ) -> dict[str, IrfResult]:
@@ -65,16 +84,16 @@ def orthogonalized_irfs(
     ``responses`` (every variable of the fit by default) to a
     one-standard-deviation orthogonalized shock in ``impulse``.
 
-    The Cholesky factor and the MA stack are built once and sliced per
-    response; every result shares the one stack as its ``matrices``.
+    The Cholesky factor and the MA stack are built on the first call for
+    this fit and horizon and sliced per response; every result shares the
+    one read-only stack as its ``matrices``.
     """
     responses = fit.names if responses is None else tuple(responses)
     for label, names in (("impulse", (impulse,)), ("response", responses)):
         for name in names:
             if name not in fit.names:
                 raise DomainError(f"{label} variable {name!r} is not in the fit: {fit.names}")
-    chol = cholesky_lower(fit.sigma)
-    mats = np.stack([phi @ chol for phi in ma_coefficients(fit, horizon)])
+    mats = _orthogonalized_stack(fit, horizon)
     i = fit.names.index(impulse)
     return {
         response: IrfResult(

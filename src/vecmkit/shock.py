@@ -12,11 +12,15 @@ a VAR, and reads off orthogonalized impulse responses to the target.
 Stage-2/3 outputs live on the differenced scale; the audit records each
 stage's scale so reports cannot silently mix levels and differences.
 
-Stage 1, the first difference and the AIC lag search do not depend on the
-shock, so a grid of factors on one panel runs them once: the last call's
-results are kept, keyed by the frame's content (``Frame`` equality: start,
-names and every value bit for bit) together with the VECM lags, rank,
-horizon and whether the lag search runs.
+Stage 1, the first difference, the AIC lag search and the stage-2 fit do
+not depend on the shock, so a grid of factors on one panel runs them once:
+the last call's results are kept, keyed by the frame's content (``Frame``
+equality: start, names and every value bit for bit) together with the VECM
+lags, rank, horizon, whether the lag search runs, the target, the stage-2
+lags and the exogenous lags. The stage-2 fit reads the exogenous target only
+on in-sample rows, where every factor's spliced path equals the differenced
+actuals, so it is fitted on those alone; the factor reaches stage 2 only
+through the forecast's ``exog_path``, the shocked rows of the spliced path.
 """
 
 from __future__ import annotations
@@ -116,15 +120,23 @@ class _FrameStages(NamedTuple):
     d_frame: Frame
     picked_lags: int | None  # AIC choice, None when the search did not run
     lag_source: str
+    stage2_fit: VarFit  # differences, target exogenous, no rows past the sample
 
 
 @lru_cache(maxsize=1)
 def _frame_stages(
-    frame: Frame, vecm_lags: int, rank: int, horizon: int, search_lags: bool
+    frame: Frame,
+    vecm_lags: int,
+    rank: int,
+    horizon: int,
+    search_lags: bool,
+    target: str,
+    stage2_lags: int | None,
+    exog_lags: int,
 ) -> _FrameStages:
-    """Stage 1 (VECM fit and baseline forecast), the first difference and,
-    when ``search_lags``, the AIC lag search. Memoized for the last key
-    only; a call that raises caches nothing."""
+    """Stage 1 (VECM fit and baseline forecast), the first difference,
+    when ``search_lags`` the AIC lag search, and the stage-2 fit.
+    Memoized for the last key only; a call that raises caches nothing."""
     vfit = _stage(1, fit_vecm, frame, vecm_lags, rank)
     baseline = _stage(1, forecast_vecm, vfit, horizon)
     d_frame = first_difference(frame)
@@ -133,7 +145,14 @@ def _frame_stages(
         search = max(min(DEFAULT_LAG_SEARCH, (len(d_frame) - 2) // (d_frame.n_columns + 1)), 1)
         picked = max(lag_order_selection(d_frame, search).selected["aic"], 1)
         lag_source = f"aic(max_lag={search})"
-    return _FrameStages(baseline, int(vfit.residuals.shape[0]), d_frame, picked, lag_source)
+    p2 = picked if stage2_lags is None else stage2_lags
+    # The fit reads exogenous rows p2..T-1 only: the in-sample target
+    # differences, which every factor's spliced path shares.
+    block = ExogenousBlock((target,), d_frame.column(target).reshape(-1, 1))
+    fit2 = _stage(2, fit_var, d_frame.drop(target), p2, exog=block, exog_lags=exog_lags)
+    return _FrameStages(
+        baseline, int(vfit.residuals.shape[0]), d_frame, picked, lag_source, fit2
+    )
 
 
 def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
@@ -144,11 +163,12 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
     orders default to the AIC choice on the differenced in-sample data
     (floored at 1) and are recorded in the audit log either way.
 
-    Stage 1, the first difference and the AIC search are reused from the
-    previous call when it had an equal frame (same start, names and values
-    bit for bit) and the same ``vecm_lags``, ``rank``, ``horizon`` and need
-    for the search, so a factor grid on one panel fits stage 1 once. The
-    results are the same as a fresh run's, bit for bit.
+    Stage 1, the first difference, the AIC search and the stage-2 fit are
+    reused from the previous call when it had an equal frame (same start,
+    names and values bit for bit) and the same ``vecm_lags``, ``rank``,
+    ``horizon``, need for the search, ``target``, ``stage2_lags`` and
+    ``exog_lags``, so a factor grid on one panel fits stages 1 and 2 once.
+    The results are the same as a fresh run's, bit for bit.
     """
     target = scenario.target
     if target not in frame.names:
@@ -163,26 +183,32 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
         )
 
     # Stage 1: in-sample VECM, baseline forecast, shock the target's path.
-    # The differences and lag orders for stages 2/3 come with it.
+    # The differences, lag orders and stage-2 fit come with it.
     p2, p3 = scenario.stage2_lags, scenario.stage3_lags
     stages = _frame_stages(
-        frame, scenario.vecm_lags, scenario.rank, horizon, p2 is None or p3 is None
+        frame,
+        scenario.vecm_lags,
+        scenario.rank,
+        horizon,
+        p2 is None or p3 is None,
+        target,
+        p2,
+        scenario.exog_lags,
     )
-    baseline, d_frame = stages.stage1_forecast, stages.d_frame
-    p2 = stages.picked_lags if p2 is None else p2
+    baseline, d_frame, fit2 = stages.stage1_forecast, stages.d_frame, stages.stage2_fit
+    p2 = fit2.p
     p3 = stages.picked_lags if p3 is None else p3
     shocked = _stage(
         1, apply_multiplicative_shock, baseline.series(target), scenario.factor, scenario.start
     )
 
     # Stage 2: splice actual + shocked target, hold the spliced path
-    # exogenous, conditionally forecast the rest.
+    # exogenous, conditionally forecast the rest. The factor enters only
+    # through the spliced path's forecast rows.
     d_spliced = np.diff(np.concatenate([frame.column(target), shocked.values]))
-    endog2 = d_frame.drop(target)
-
-    block = ExogenousBlock((target,), d_spliced.reshape(-1, 1))
-    fit2 = _stage(2, fit_var, endog2, p2, exog=block, exog_lags=scenario.exog_lags)
-    stage2_forecast = _stage(2, forecast_var, fit2, horizon)
+    stage2_forecast = _stage(
+        2, forecast_var, fit2, horizon, exog_path=d_spliced[len(d_frame) :]
+    )
 
     # Stage 3: splice differenced in-sample rows with stage-2 forecasts,
     # target endogenous again, and read IRFs off the refitted VAR.
@@ -216,7 +242,7 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
             "rows_used": len(d_frame) - p2,
             "exogenous": [target],
             "exog_lags": scenario.exog_lags,
-            "endogenous": list(endog2.names),
+            "endogenous": list(fit2.names),
         },
         "stage3": {
             "scale": "differences",

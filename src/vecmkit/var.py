@@ -10,6 +10,7 @@ mutates the fit, so concurrent forecasts from one fit are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +70,13 @@ class VarFit:
     @property
     def n_vars(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def _irf_stacks(self) -> dict[int, np.ndarray]:
+        """Read-only orthogonalized MA stacks by horizon, filled by
+        ``irf.orthogonalized_irfs``; a fit's fields never change, so neither
+        does a stack built from them."""
+        return {}
 
     def to_dict(self) -> dict:
         return to_jsonable(self)

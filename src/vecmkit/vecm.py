@@ -7,12 +7,20 @@ concentrates out the lagged differences and the constant, forms the
 product-moment matrices S00, S01, S11 of the two residual sets, and solves
 S10 S00^-1 S01 v = lambda S11 v, symmetrized through the Cholesky factor of
 S11 so the eigenvalues are real.
+
+The eigen step is the costly part and depends only on the frame and the lag
+order, so it is kept for the last (frame, k), keyed by the frame's content
+(``Frame`` equality: start, names and every value bit for bit). The rank
+test and every fit on one panel then share one eigen step; the record is
+read-only, and the regressors a fit needs are rebuilt from the frame, so a
+reused result equals a fresh one bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import lru_cache
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -25,7 +33,7 @@ from .errors import (
 )
 from .formatting import format_table, sig6, to_jsonable
 from .numerics import cholesky_lower, generalized_symmetric_eigen, ols
-from .quarterly import Frame, QuarterIndex, first_difference, lag_matrix, parse_quarter
+from .quarterly import Frame, QuarterIndex, parse_quarter
 from .var import VarFit, forecast_var
 
 # 5% critical values for the trace statistic, unrestricted-constant case,
@@ -123,9 +131,9 @@ class JohansenResult:
         )
 
 
-def _concentrate(frame: Frame, k: int):
-    """Residuals of dX_t and X_{t-1} after regressing out the constant and
-    the k-1 lagged differences, plus the product-moment matrices."""
+def _regressors(frame: Frame, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z0 = dX_t, z1 = X_{t-1} and z2 = [1, dX_{t-1} .. dX_{t-k+1}] over the
+    T - k usable rows, built from the frame's already validated values."""
     n_vars = frame.n_columns
     t = len(frame)
     if k < 1:
@@ -136,12 +144,28 @@ def _concentrate(frame: Frame, k: int):
             f"and {k} lags"
         )
     t_eff = t - k
-    d_frame = first_difference(frame)
-    z0 = d_frame.values[k - 1 :]
-    z1 = frame.values[k - 1 : t - 1]
-    lags = [lag_matrix(d_frame, k - 1)] if k > 1 else []
-    z2 = np.hstack([np.ones((t_eff, 1)), *lags])
+    dx = np.diff(frame.values, axis=0)
+    z2 = np.empty((t_eff, 1 + n_vars * (k - 1)))
+    z2[:, 0] = 1.0
+    for j in range(1, k):  # lag j of dX_t, the layout of lag_matrix
+        z2[:, 1 + n_vars * (j - 1) : 1 + n_vars * j] = dx[k - 1 - j : t - 1 - j]
+    return dx[k - 1 :], frame.values[k - 1 : t - 1], z2
 
+
+class _Concentration(NamedTuple):
+    """The eigen step of the rank test; both arrays are read-only."""
+
+    eigenvalues: np.ndarray  # (K,), descending, clipped to [0, 1)
+    eigenvectors: np.ndarray  # K x K, columns aligned
+    t_eff: int
+
+
+def _concentrate(frame: Frame, k: int) -> _Concentration:
+    """Regress dX_t and X_{t-1} on the constant and the k-1 lagged
+    differences, form the product-moment matrices S00, S01, S11 of the two
+    residual sets, and solve the eigenproblem."""
+    z0, z1, z2 = _regressors(frame, k)
+    t_eff, n_vars = z0.shape
     resid = ols(np.hstack([z0, z1]), z2).residuals  # one QR of z2 for both
     r0 = resid[:, :n_vars]
     r1 = resid[:, n_vars:]
@@ -157,7 +181,17 @@ def _concentrate(frame: Frame, k: int):
     w = np.linalg.solve(l00, s01)  # so that S10 S00^-1 S01 = W'W
     eig = generalized_symmetric_eigen(w.T @ w, s11)
     lam = np.clip(eig.eigenvalues, 0.0, _EIGENVALUE_CEIL)
-    return z0, z1, z2, lam, eig.eigenvectors, t_eff
+    for shared in (lam, eig.eigenvectors):
+        shared.setflags(write=False)
+    return _Concentration(lam, eig.eigenvectors, t_eff)
+
+
+@lru_cache(maxsize=1)
+def _concentration(frame: Frame, k: int) -> _Concentration:
+    """``_concentrate`` memoized for the last (frame, k) only, keyed by the
+    frame's content, so the rank test and the fits on one panel share one
+    eigen step. A call that raises caches nothing."""
+    return _concentrate(frame, k)
 
 
 def johansen_trace(frame: Frame, k: int) -> JohansenResult:
@@ -166,7 +200,7 @@ def johansen_trace(frame: Frame, k: int) -> JohansenResult:
     T_eff is frame length minus k; eigenvalues come back descending and the
     trace statistic for each candidate rank is evaluated from them.
     """
-    _, _, _, lam, _, t_eff = _concentrate(frame, k)
+    lam, _, t_eff = _concentration(frame, k)
     stats = trace_statistics(lam, t_eff)
     n_vars = frame.n_columns
     crit = np.array(
@@ -197,7 +231,7 @@ class VecmFit:
     """Rank-restricted VECM estimate.
 
     beta is normalized so the block picked out by ``beta_pivot`` (the first
-    r rows whenever they are nonsingular) is the identity; alpha, the
+    r rows whenever they are nonsingular) is exactly the identity; alpha, the
     short-run matrices and the constant come from least squares of dX_t on
     [beta' X_{t-1}, dX lags, 1].
     """
@@ -274,10 +308,12 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
             f"rank must lie strictly between 0 and {n_vars}; got {r}. "
             "Use a VAR in differences for r=0 or a levels VAR for r=K."
         )
-    z0, z1, z2, lam, vectors, t_eff = _concentrate(frame, k)
+    vectors = _concentration(frame, k).eigenvectors
+    z0, z1, z2 = _regressors(frame, k)
     beta_raw = vectors[:, :r]
     pivot = _first_independent_rows(beta_raw, r)
     beta = beta_raw @ np.linalg.inv(beta_raw[list(pivot), :])
+    beta[list(pivot)] = np.eye(r)  # exact, not identity to rounding
 
     ect = z1 @ beta
     design = np.hstack([ect, z2[:, 1:], z2[:, :1]])  # [beta'X_{t-1}, dX lags, 1]

@@ -20,6 +20,8 @@ from vecmkit.errors import (
     SingularDesignError,
 )
 
+from vecmkit.numerics import ols
+
 from conftest import make_frame, simulate_var, well_specified_vecm_fit
 
 # Published reference rows used throughout: log likelihoods by lag and the
@@ -115,6 +117,23 @@ class TestLmAutocorrelation:
     def test_zero_residuals_degenerate(self):
         with pytest.raises(DegenerateInputError):
             lm_autocorrelation(np.zeros((80, 2)), 1)
+
+    def test_zero_column_degenerate(self, rng):
+        u = np.column_stack([rng.standard_normal(80), np.zeros(80)])
+        with pytest.raises(DegenerateInputError):
+            lm_autocorrelation(u, 2)
+
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_one_factorization_matches_two_fits(self, rng, lag):
+        u = rng.standard_normal((100, 3))
+        design = np.column_stack([np.ones(100), rng.standard_normal(100)])
+        lagged = np.zeros_like(u)
+        lagged[lag:] = u[:-lag]
+        s_r = ols(u, design).sigma
+        s_u = ols(u, np.hstack([design, lagged])).sigma
+        want = (100 - 5 - 0.5 * 4) * (3 - np.trace(np.linalg.solve(s_r, s_u)))
+        got = lm_autocorrelation(u, lag, design)
+        assert got.statistic == pytest.approx(want, rel=1e-12)
 
     def test_detects_autocorrelated_residuals(self, rng):
         t = 400

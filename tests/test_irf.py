@@ -202,3 +202,51 @@ class TestOrthogonalizedIrfs:
         fit = var_fit([np.eye(2) * 0.4], np.eye(2), names=("a", "b"))
         with pytest.raises(DomainError, match="response"):
             orthogonalized_irfs(fit, 5, "a", ("b", "z"))
+
+
+class TestStackPerFit:
+    def fit3(self, rng):
+        return var_fit(
+            [random_stable_var1(rng, 3), 0.1 * rng.standard_normal((3, 3))],
+            random_spd(rng, 3),
+            names=("a", "b", "c"),
+        )
+
+    def test_response_loop_equals_one_call(self, rng):
+        fit = self.fit3(rng)
+        loop = {name: orthogonalized_irf(fit, 9, "c", name) for name in fit.names}
+        fresh = var_fit(fit.coef_matrices, fit.sigma, names=fit.names)
+        for name, irf in orthogonalized_irfs(fresh, 9, "c").items():
+            assert loop[name].values.tobytes() == irf.values.tobytes()
+            assert loop[name].matrices.tobytes() == irf.matrices.tobytes()
+
+    def test_ma_stack_built_once_per_fit_and_horizon(self, rng, monkeypatch):
+        import vecmkit.irf
+
+        calls = []
+        original = vecmkit.irf.ma_coefficients
+
+        def counting(fit, horizon):
+            calls.append((id(fit), horizon))
+            return original(fit, horizon)
+
+        monkeypatch.setattr(vecmkit.irf, "ma_coefficients", counting)
+        fit, other = self.fit3(rng), self.fit3(rng)
+        for name in fit.names:
+            orthogonalized_irf(fit, 9, "a", name)
+            orthogonalized_irf(fit, 4, "b", name)
+        orthogonalized_irfs(fit, 9, "b")
+        orthogonalized_irf(other, 9, "a", "a")
+        assert calls == [(id(fit), 9), (id(fit), 4), (id(other), 9)]
+
+    def test_matrices_are_read_only(self, rng):
+        irf = orthogonalized_irf(self.fit3(rng), 5, "a", "b")
+        with pytest.raises(ValueError):
+            irf.matrices[0, 0, 0] = 1.0
+
+    def test_raising_call_keeps_nothing(self):
+        fit = var_fit([np.eye(2) * 0.4], np.full((2, 2), 1.0), names=("a", "b"))
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefiniteError):
+                orthogonalized_irf(fit, 5, impulse="a", response="b")
+        assert fit._irf_stacks == {}

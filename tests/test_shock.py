@@ -17,10 +17,17 @@ from vecmkit.errors import (
 )
 
 from vecmkit.shock import _frame_stages
+from vecmkit.vecm import _concentration
 
 from conftest import make_frame, simulate_vecm
 
 FACTORS = (1.00, 1.05, 1.10, 1.15, 1.20)
+
+
+def clear_memos():
+    """Cold start: forget the kept frame stages and the kept concentration."""
+    _frame_stages.cache_clear()
+    _concentration.cache_clear()
 
 
 def scenario(frame, **overrides):
@@ -115,7 +122,7 @@ class TestRunThreeStage:
         )
 
     def test_determinism(self, panel69):
-        _frame_stages.cache_clear()
+        clear_memos()
         one = run_three_stage(panel69, scenario(panel69))
         two = run_three_stage(panel69, scenario(panel69))
         np.testing.assert_array_equal(
@@ -217,13 +224,17 @@ def assert_bit_equal(a, b):
 
 class TestFrameStagesCache:
     @pytest.mark.parametrize("factors", [FACTORS, FACTORS[::-1]], ids=["ascending", "descending"])
-    @pytest.mark.parametrize("lags", [{}, {"stage2_lags": 2, "stage3_lags": 3}], ids=["aic", "explicit"])
+    @pytest.mark.parametrize(
+        "lags",
+        [{}, {"stage2_lags": 2, "stage3_lags": 3}, {"stage2_lags": 3, "stage3_lags": 2, "exog_lags": 2}],
+        ids=["aic", "explicit", "exog2"],
+    )
     def test_warm_grid_equals_cold_runs(self, panel69, factors, lags):
         cold = {}
         for factor in factors:
-            _frame_stages.cache_clear()
+            clear_memos()
             cold[factor] = run_three_stage(panel69, scenario(panel69, factor=factor, **lags))
-        _frame_stages.cache_clear()
+        clear_memos()
         for factor in factors:
             warm = run_three_stage(panel69, scenario(panel69, factor=factor, **lags))
             assert_bit_equal(warm, cold[factor])
@@ -233,7 +244,7 @@ class TestFrameStagesCache:
     def test_equal_frame_is_a_hit(self, panel69):
         twin = vk.Frame(panel69.start, panel69.names, np.array(panel69.values))
         assert twin is not panel69
-        _frame_stages.cache_clear()
+        clear_memos()
         first = run_three_stage(panel69, scenario(panel69))
         second = run_three_stage(twin, scenario(twin))
         assert _frame_stages.cache_info().hits == 1
@@ -249,18 +260,18 @@ class TestFrameStagesCache:
         else:
             names = (names[1], names[0], *names[2:])
         other = vk.Frame(start, names, values)
-        _frame_stages.cache_clear()
+        clear_memos()
         run_three_stage(panel69, scenario(panel69))
         warm = run_three_stage(other, scenario(other))
         info = _frame_stages.cache_info()
         assert (info.hits, info.misses) == (0, 2)
-        _frame_stages.cache_clear()
+        clear_memos()
         assert_bit_equal(warm, run_three_stage(other, scenario(other)))
 
     def test_stage1_failure_raises_every_time(self, panel69):
         short = panel69.head(12)
         bad = scenario(short, vecm_lags=4, horizon=1, start=short.end.next())
-        _frame_stages.cache_clear()
+        clear_memos()
         for _ in range(2):
             with pytest.raises(PipelineStageError) as err:
                 run_three_stage(short, bad)
@@ -269,7 +280,7 @@ class TestFrameStagesCache:
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
     def test_explicit_lags_after_aic_run(self, panel69):
-        _frame_stages.cache_clear()
+        clear_memos()
         picked = run_three_stage(panel69, scenario(panel69))
         fixed = run_three_stage(panel69, scenario(panel69, stage2_lags=3, stage3_lags=2))
         assert picked.audit["lag_order_source"].startswith("aic")
@@ -278,17 +289,29 @@ class TestFrameStagesCache:
 
 
 class TestExogLags:
-    def test_stage2_forecast_by_hand(self, panel69):
+    @pytest.mark.parametrize("exog_lags", [0, 1, 2, 3])
+    def test_stage2_forecast_by_hand(self, panel69, exog_lags):
+        # the oracle fits stage 2 on the full spliced block of its own factor
         target = "exchange_rate"
         result = run_three_stage(
-            panel69, scenario(panel69, exog_lags=1, stage2_lags=2, stage3_lags=2)
+            panel69, scenario(panel69, exog_lags=exog_lags, stage2_lags=3, stage3_lags=2)
         )
-        assert result.audit["stage2"]["exog_lags"] == 1
+        assert result.audit["stage2"]["exog_lags"] == exog_lags
 
         baseline = vk.forecast_vecm(vk.fit_vecm(panel69, 2, 2), 20)
         spliced = np.concatenate([panel69.column(target), baseline.column(target) * 1.15])
         block = vk.ExogenousBlock((target,), np.diff(spliced).reshape(-1, 1))
         fit2 = vk.fit_var(
-            vk.first_difference(panel69).drop(target), 2, exog=block, exog_lags=1
+            vk.first_difference(panel69).drop(target), 3, exog=block, exog_lags=exog_lags
         )
         assert result.stage2_forecast == vk.forecast_var(fit2, 20)
+
+    def test_stage2_failure_raises_every_time(self, panel69):
+        bad = scenario(panel69, exog_lags=3, stage2_lags=2, stage3_lags=2)
+        clear_memos()
+        for _ in range(2):
+            with pytest.raises(PipelineStageError) as err:
+                run_three_stage(panel69, bad)
+            assert err.value.stage == 2
+        info = _frame_stages.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)

@@ -287,3 +287,48 @@ class TestExogLags:
         got = forecast_var(fit, self.horizon)
         assert got.start == self.frame.end.next()
         np.testing.assert_allclose(got.values, np.array(want), rtol=0, atol=1e-12)
+
+
+class TestTwoExogLags:
+    """exog_lags=2: X_t on [1, X_{t-1}, X_{t-2}, z_t, z_{t-1}, z_{t-2}]."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(616)
+        self.t, self.horizon = 90, 6
+        self.z = rng.standard_normal((self.t + self.horizon, 1))
+        data = simulate_var(
+            (np.array([[0.3, 0.1], [0.0, 0.4]]),), np.zeros(2), np.eye(2), self.t, rng
+        )
+        data[2:] += np.hstack([0.7 * self.z[2 : self.t], 0.4 * self.z[: self.t - 2]])
+        self.frame = make_frame(data, names=("a", "b"))
+        self.fit = fit_var(self.frame, 2, exog=ExogenousBlock(("z",), self.z), exog_lags=2)
+
+    def test_fit_equals_hand_built_design(self):
+        p, x, z = 2, self.frame.values, self.z
+        design = np.array(
+            [[1.0, *x[t - 1], *x[t - 2], z[t, 0], z[t - 1, 0], z[t - 2, 0]] for t in range(p, self.t)]
+        )
+        want = ols(x[p:], design)
+        coef = want.coefficients
+        np.testing.assert_allclose(self.fit.const, coef[0], rtol=0, atol=1e-12)
+        for i, a in enumerate(self.fit.coef_matrices):
+            np.testing.assert_allclose(a, coef[1 + 2 * i : 3 + 2 * i].T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(self.fit.exog_coef, coef[5:].T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(self.fit.residuals, want.residuals, rtol=0, atol=1e-12)
+        assert self.fit.exog_coef.shape == (2, 3) and self.fit.exog_lags == 2
+
+    def test_forecast_recursion_reads_two_past_exogenous_rows(self):
+        fit, t, z = self.fit, self.t, self.z
+        history = list(self.frame.values[-2:])
+        want = []
+        for h in range(self.horizon):
+            # steps 0 and 1 reach back into the in-sample rows z_{T-1}, z_{T-2}
+            x = fit.const + fit.coef_matrices[0] @ history[-1] + fit.coef_matrices[1] @ history[-2]
+            for j in range(3):
+                x = x + fit.exog_coef[:, j] * z[t + h - j, 0]
+            want.append(x)
+            history.append(x)
+        got = forecast_var(fit, self.horizon)
+        np.testing.assert_allclose(got.values, np.array(want), rtol=0, atol=1e-12)
+        explicit = forecast_var(fit, self.horizon, exog_path=z[t:])
+        np.testing.assert_array_equal(explicit.values, got.values)

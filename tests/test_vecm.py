@@ -18,7 +18,9 @@ from vecmkit import (
     vecm_to_levels_var,
 )
 from vecmkit.errors import InsufficientDataError, RankError
+from vecmkit.quarterly import first_difference, lag_matrix
 from vecmkit.var import forecast_var, stability_moduli
+from vecmkit.vecm import _concentration, _regressors
 
 from conftest import make_frame, simulate_vecm, well_specified_vecm_fit
 
@@ -147,6 +149,92 @@ class TestJohansenTrace:
         )
 
 
+class TestRegressors:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equal_to_validated_frame_construction(self, panel69, k):
+        t = len(panel69)
+        d_frame = first_difference(panel69)
+        lags = [lag_matrix(d_frame, k - 1)] if k > 1 else []
+        z2_old = np.hstack([np.ones((t - k, 1)), *lags])
+        z0, z1, z2 = _regressors(panel69, k)
+        assert z0.tobytes() == d_frame.values[k - 1 :].tobytes()
+        assert z1.tobytes() == panel69.values[k - 1 : t - 1].tobytes()
+        assert z2.shape == z2_old.shape
+        assert z2.tobytes() == z2_old.tobytes()
+
+
+def fit_fields(fit):
+    return [
+        a.tobytes()
+        for a in (fit.alpha, fit.beta, fit.const, fit.residuals, fit.sigma, *fit.gammas)
+    ] + [fit.beta_pivot]
+
+
+class TestConcentrationMemo:
+    def test_warm_equals_cold(self, panel69):
+        cold = {}
+        for k in (1, 2, 3):
+            _concentration.cache_clear()
+            trace = johansen_trace(panel69, k)
+            _concentration.cache_clear()
+            cold[k] = trace, fit_fields(fit_vecm(panel69, k, 2))
+        for k in (1, 2, 3):
+            _concentration.cache_clear()
+            trace = johansen_trace(panel69, k)
+            warm = fit_fields(fit_vecm(panel69, k, 2))
+            assert _concentration.cache_info().hits == 1
+            assert trace.eigenvalues.tobytes() == cold[k][0].eigenvalues.tobytes()
+            assert trace.trace_stats.tobytes() == cold[k][0].trace_stats.tobytes()
+            assert trace.t_eff == cold[k][0].t_eff
+            assert warm == cold[k][1]
+
+    def test_equal_frame_is_a_hit(self, panel69):
+        twin = vk.Frame(panel69.start, panel69.names, np.array(panel69.values))
+        assert twin is not panel69
+        _concentration.cache_clear()
+        johansen_trace(panel69, 2)
+        fit_vecm(twin, 2, 2)
+        info = _concentration.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("change", ["value", "start", "names", "lags"])
+    def test_changed_key_is_a_miss(self, panel69, change):
+        start, names, values, k = panel69.start, panel69.names, np.array(panel69.values), 2
+        if change == "value":
+            values[30, 0] = np.nextafter(values[30, 0], np.inf)
+        elif change == "start":
+            start = start.shift(1)
+        elif change == "names":
+            names = (names[1], names[0], *names[2:])
+        else:
+            k = 3
+        other = vk.Frame(start, names, values)
+        _concentration.cache_clear()
+        johansen_trace(panel69, 2)
+        warm = johansen_trace(other, k)
+        info = _concentration.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        _concentration.cache_clear()
+        assert warm.eigenvalues.tobytes() == johansen_trace(other, k).eigenvalues.tobytes()
+
+    def test_raising_call_caches_nothing(self):
+        short = make_frame(np.arange(20.0).reshape(10, 2) ** 1.1)
+        _concentration.cache_clear()
+        for _ in range(2):
+            with pytest.raises(InsufficientDataError):
+                johansen_trace(short, 5)
+        info = _concentration.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_cached_arrays_are_read_only(self, panel69):
+        _concentration.cache_clear()
+        trace = johansen_trace(panel69, 2)
+        record = _concentration(panel69, 2)
+        for array in (record.eigenvalues, record.eigenvectors, trace.eigenvalues):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
+
 class TestFitVecm:
     def test_rank_bounds_rejected_with_guidance(self, panel69):
         with pytest.raises(RankError, match="differences"):
@@ -163,6 +251,11 @@ class TestFitVecm:
         fit = fit_vecm(panel69, 2, 2)
         block = fit.beta[list(fit.beta_pivot), :]
         np.testing.assert_allclose(block, np.eye(2), atol=1e-10)
+
+    @pytest.mark.parametrize("k,r", [(1, 1), (2, 2), (3, 3), (4, 5)])
+    def test_beta_identity_block_is_exact(self, panel69, k, r):
+        fit = fit_vecm(panel69, k, r)
+        assert np.array_equal(fit.beta[list(fit.beta_pivot), :], np.eye(r))
 
     def test_alpha_near_zero_when_no_cointegration(self):
         # pure VAR in differences: Pi = 0. Under the no-cointegration null

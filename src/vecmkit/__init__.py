@@ -63,10 +63,8 @@ from .var import (
     stability_moduli,
 )
 from .vecm import (
-    DEFAULT_TRACE_CRITICAL_VALUES,
     TRACE_CRIT_5PCT,
     JohansenResult,
-    TraceCriticalValues,
     VecmFit,
     fit_vecm,
     forecast_vecm,

@@ -8,6 +8,12 @@ plus ``lq`` for location quotients. Every command reads a JSON config file
 directory, prints an aligned text table, and records an ``audit.json``
 (versions, parameters, input digest) that fully determines a re-run.
 
+Every printed table is laid out here and nowhere else: its title, columns
+and marks. A handler builds one row list from the result record, writes it
+as CSV and prints it (or a column selection of it) through ``_table``, which
+shows reals at 6 significant digits and None as blank, so a table cannot
+drift from its CSV. The library's result records carry no text layout.
+
 Two tables drive it. ``_TYPES`` gives every config key's accepted type (a
 nested dict is a block such as ``shock``); it validates config files and
 overrides and sets each flag's argparse type. ``_COMMANDS`` gives each
@@ -61,7 +67,6 @@ _TYPES = {
     "holdout": int,
     "impulse": str,
     "response": str,
-    "seed": int,
     "shock": {
         "target": str,
         "factor": _NUMBER,
@@ -93,7 +98,6 @@ class RunConfig:
     holdout: int = 8
     impulse: str | None = None
     response: str | None = None
-    seed: int = 0
     shock: dict = field(default_factory=lambda: dict(_SHOCK_DEFAULTS))
     lq: dict = field(default_factory=lambda: dict.fromkeys(_TYPES["lq"]))
 
@@ -205,91 +209,88 @@ class _Run:
         return audit
 
 
+def _table(title: str, header: list[str], rows) -> None:
+    """Print rows as an aligned table: reals at 6 significant digits, None
+    blank, anything else as ``str`` gives it."""
+    cells = ([sig6(c) if c is None or isinstance(c, float) else c for c in row] for row in rows)
+    print(format_table(header, cells, title=title))
+
+
 def _cmd_describe(run: _Run) -> None:
     report = summary_stats(run.frame)
-    print(report.format_table())
-    run.json("describe.json", report.to_dict())
-    run.csv("describe.csv", ["variable", "mean", "sd", "min", "max", "n"], map(astuple, report.columns))
+    header = ["variable", "mean", "sd", "min", "max", "n"]
+    rows = list(map(astuple, report.columns))
+    _table(f"Summary statistics ({report.start}..{report.end})", header, rows)
+    run.json("describe.json", to_jsonable(report))
+    run.csv("describe.csv", header, rows)
 
 
 def _cmd_adf(run: _Run) -> None:
     config = run.config
     results = {name: adf_test(run.frame.series(name), config.adf_lags, config.adf_spec) for name in run.frame.names}
-    rows = [
-        [n, sig6(r.statistic), sig6(r.critical_values[5]), "yes" if r.reject_5pct else "no"]
-        for n, r in results.items()
-    ]
-    print(
-        format_table(
-            ["variable", "statistic", "5% critical value", "reject unit root"],
-            rows,
-            title=f"ADF tests (lags={config.adf_lags}, spec={config.adf_spec})",
-        )
+    rows = [[n, r.statistic, *r.critical_values.values(), r.reject_5pct] for n, r in results.items()]
+    _table(
+        f"ADF tests (lags={config.adf_lags}, spec={config.adf_spec})",
+        ["variable", "statistic", "5% critical value", "reject unit root"],
+        [[n, stat, cv5, "yes" if reject else "no"] for n, stat, _, cv5, _, reject in rows],
     )
     run.json("adf.json", {n: r.to_dict() for n, r in results.items()})
-    run.csv(
-        "adf.csv",
-        ["variable", "statistic", "cv_1pct", "cv_5pct", "cv_10pct", "reject_5pct"],
-        [
-            [n, r.statistic, r.critical_values[1], r.critical_values[5], r.critical_values[10], r.reject_5pct]
-            for n, r in results.items()
-        ],
-    )
+    run.csv("adf.csv", ["variable", "statistic", "cv_1pct", "cv_5pct", "cv_10pct", "reject_5pct"], rows)
 
 
 def _cmd_lagselect(run: _Run) -> None:
     report = lag_order_selection(run.frame, run.config.max_lag)
-    print(report.format_table())
-    run.json("lagselect.json", report.to_dict())
-    run.csv(
-        "lagselect.csv",
-        ["lag", "ll", "lr", "lr_df", "lr_p", "fpe", "aic", "hqic", "sbic"],
-        map(astuple, report.rows),
+    header = ["lag", "ll", "lr", "lr_df", "lr_p", "fpe", "aic", "hqic", "sbic"]
+    rows = list(map(astuple, report.rows))
+    # a criterion's column, named as its key in ``selected``, marks the lag it picks
+    picks = [report.selected.get(h) for h in header]
+    _table(
+        f"Lag-order selection (T_eff={report.t_eff}, * = selected)",
+        ["lag", "LL", "LR", "df", "p", "FPE", "AIC", "HQIC", "SBIC"],
+        ([f"{sig6(c)}*" if lag == row[0] else c for c, lag in zip(row, picks)] for row in rows),
     )
+    run.json("lagselect.json", to_jsonable(report))
+    run.csv("lagselect.csv", header, rows)
 
 
 def _cmd_johansen(run: _Run) -> None:
     result = johansen_trace(run.frame, run.config.lags)
-    print(result.format_table())
     selected = select_rank(result)
-    run.json("johansen.json", result.to_dict())
-    run.csv(
-        "johansen.csv",
-        ["rank", "eigenvalue", "trace_stat", "cv_5pct", "selected"],
+    n = result.n_vars
+    rows = [
         [
-            [
-                r,
-                result.eigenvalues[r - 1] if r >= 1 else "",
-                result.trace_stats[r] if r < result.n_vars else "",
-                result.critical_values[r] if r < result.n_vars else "",
-                "*" if r == selected else "",
-            ]
-            for r in range(result.n_vars + 1)
-        ],
+            r,
+            result.eigenvalues[r - 1] if r >= 1 else "",
+            result.trace_stats[r] if r < n else "",
+            result.critical_values[r] if r < n else "",
+            "*" if r == selected else "",
+        ]
+        for r in range(n + 1)
+    ]
+    _table(
+        f"Trace test for cointegration rank "
+        f"(T_eff={result.t_eff}, lags={result.k}, trend: {result.deterministic})",
+        ["rank", "eigenvalue", "trace statistic", "5% critical value", ""],
+        rows,
     )
+    run.json("johansen.json", result.to_dict())
+    run.csv("johansen.csv", ["rank", "eigenvalue", "trace_stat", "cv_5pct", "selected"], rows)
 
 
 def _cmd_fit_vec(run: _Run) -> None:
     fit = run.fit()
-    rows = [
-        [name, *[sig6(fit.beta[i, j]) for j in range(fit.rank)]]
-        for i, name in enumerate(fit.names)
-    ]
-    print(
-        format_table(
-            ["variable", *[f"relation {j + 1}" for j in range(fit.rank)]],
-            rows,
-            title=f"Cointegrating vectors (lags={fit.k}, rank={fit.rank}, residual rows={fit.residuals.shape[0]})",
-        )
+    r = fit.rank
+    rows = [[name, *fit.beta[i], *fit.alpha[i]] for i, name in enumerate(fit.names)]
+    _table(
+        f"Cointegrating vectors (lags={fit.k}, rank={r}, residual rows={fit.residuals.shape[0]})",
+        ["variable", *[f"relation {j + 1}" for j in range(r)]],
+        [row[: 1 + r] for row in rows],
     )
     run.json("vecm_fit.json", fit.to_dict())
     run.csv(
         "cointegration.csv",
-        ["variable", *[f"beta_{j + 1}" for j in range(fit.rank)], *[f"alpha_{j + 1}" for j in range(fit.rank)]],
-        [
-            [name, *fit.beta[i], *fit.alpha[i]]
-            for i, name in enumerate(fit.names)
-        ],
+        ["variable", *[f"beta_{j + 1}" for j in range(r)], *[f"alpha_{j + 1}" for j in range(r)]],
+        rows,
     )
 
 
@@ -300,34 +301,35 @@ def _cmd_diagnose(run: _Run) -> None:
     normality = normality_suite(fit.residuals, n_eff=run.config.n_eff, names=names)
     stability = vecm_stability(fit)
 
-    print(
-        format_table(
-            ["lag", "chi2", "df", "p"],
-            [[r.lag, sig6(r.statistic), r.df, sig6(r.p_value)] for r in lm_results],
-            title="Residual autocorrelation (LM)",
-        )
-    )
+    lm_rows = list(map(astuple, lm_results))
+    _table("Residual autocorrelation (LM)", ["lag", "chi2", "df", "p"], lm_rows)
     print()
-    print(normality.format_table())
+    rows = list(map(astuple, normality.rows))
+    j = normality.joint
+    _table(
+        f"Normality tests (n_eff={normality.n_eff})",
+        ["equation", "JB", "df", "p", "skew", "skew chi2", "p", "kurt", "kurt chi2", "p"],
+        [
+            *(
+                [name, jb, 2, jb_p, skew, skew_chi2, skew_p, kurt, kurt_chi2, kurt_p]
+                for name, skew, kurt, skew_chi2, skew_p, kurt_chi2, kurt_p, jb, jb_p in rows
+            ),
+            ["ALL", j["jb"], j["jb_df"], j["jb_p"], None, j["skew_chi2"], j["skew_p"],
+             None, j["kurt_chi2"], j["kurt_p"]],
+        ],
+    )
     print()
     status = "PASS" if stability.passed else "FAIL"
     print(
         f"Stability: {stability.unit_count} unit moduli "
         f"(expected {stability.expected_unit_count}) -> {status}"
     )
-    run.json(
-        "diagnose.json",
-        {
-            "lm": [r.to_dict() for r in lm_results],
-            "normality": normality.to_dict(),
-            "stability": stability.to_dict(),
-        },
-    )
-    run.csv("lm.csv", ["lag", "chi2", "df", "p_value"], map(astuple, lm_results))
+    run.json("diagnose.json", to_jsonable({"lm": lm_results, "normality": normality, "stability": stability}))
+    run.csv("lm.csv", ["lag", "chi2", "df", "p_value"], lm_rows)
     run.csv(
         "normality.csv",
         ["equation", "skewness", "kurtosis", "skew_chi2", "skew_p", "kurt_chi2", "kurt_p", "jb", "jb_p"],
-        map(astuple, normality.rows),
+        rows,
     )
     run.csv("stability.csv", ["modulus"], [[m] for m in stability.moduli])
 
@@ -340,26 +342,19 @@ def _cmd_irf(run: _Run) -> None:
     payload = {}
     for response, irf in orthogonalized_irfs(fit, config.horizon, impulse, responses).items():
         payload[response] = irf.to_dict()
-        run.csv(f"irf_{impulse}_{response}.csv", ["step", "response"], irf.csv_rows())
-        print(
-            format_table(
-                ["step", "response"],
-                [[h, sig6(v)] for h, v in irf.csv_rows()],
-                title=f"Orthogonalized IRF: {impulse} -> {response}",
-            )
-        )
+        rows = irf.csv_rows()
+        run.csv(f"irf_{impulse}_{response}.csv", ["step", "response"], rows)
+        _table(f"Orthogonalized IRF: {impulse} -> {response}", ["step", "response"], rows)
         print()
     run.json("irf.json", payload)
 
 
 def _cmd_forecast(run: _Run) -> None:
     forecast = forecast_vecm(run.fit(), run.config.horizon)
-    print(
-        format_table(
-            ["quarter", *forecast.names],
-            [[str(q), *[sig6(v) for v in row]] for q, row in zip(forecast.quarters(), forecast.values)],
-            title=f"Dynamic forecast {forecast.start}..{forecast.end}",
-        )
+    _table(
+        f"Dynamic forecast {forecast.start}..{forecast.end}",
+        ["quarter", *forecast.names],
+        ([str(q), *row] for q, row in zip(forecast.quarters(), forecast.values)),
     )
     run.json("forecast.json", to_jsonable(forecast))
     run.frame_csv("forecast.csv", forecast)
@@ -384,12 +379,10 @@ def _cmd_backtest(run: _Run) -> None:
         }
         pair = np.column_stack([actual[:, j], forecast.values[:, j]])
         run.frame_csv(f"backtest_{name}.csv", Frame(forecast.start, ("actual", "forecast"), pair))
-    print(
-        format_table(
-            ["variable", "rmse", "mae"],
-            [[n, sig6(m["rmse"]), sig6(m["mae"])] for n, m in metrics.items()],
-            title=f"Backtest over {holdout} held-out quarters ({forecast.start}..{forecast.end})",
-        )
+    _table(
+        f"Backtest over {holdout} held-out quarters ({forecast.start}..{forecast.end})",
+        ["variable", "rmse", "mae"],
+        [[n, m["rmse"], m["mae"]] for n, m in metrics.items()],
     )
     run.json("backtest.json", {"holdout": holdout, "metrics": metrics})
 
@@ -418,19 +411,10 @@ def _cmd_shock(run: _Run) -> None:
     run.json("stage3_model.json", result.stage3_fit.to_dict())
     for name, irf in result.irfs.items():
         run.csv(f"irf_{scenario.target}_{name}.csv", ["step", "response"], irf.csv_rows())
-    rows = [
-        [name, sig6(irf.values[0]), sig6(irf.values[min(4, len(irf.values) - 1)])]
-        for name, irf in result.irfs.items()
-    ]
-    print(
-        format_table(
-            ["response", "impact (step 0)", "step 4"],
-            rows,
-            title=(
-                f"Shock pipeline: {scenario.target} x{scenario.factor} from {scenario.start} "
-                f"(differenced-scale IRFs)"
-            ),
-        )
+    _table(
+        f"Shock pipeline: {scenario.target} x{scenario.factor} from {scenario.start} (differenced-scale IRFs)",
+        ["response", "impact (step 0)", "step 4"],
+        [[name, irf.values[0], irf.values[min(4, len(irf.values) - 1)]] for name, irf in result.irfs.items()],
     )
 
 
@@ -449,7 +433,7 @@ def _cmd_lq(run: _Run) -> None:
             for record in reader:
                 label = record.get("label") or record.get("year") or record.get("quarter") or str(len(rows))
                 rows.append([label, location_quotient(*(float(record[c]) for c in _LQ_INPUTS))])
-        print(format_table(["label", "lq"], [[l, sig6(v)] for l, v in rows], title="Location quotients"))
+        _table("Location quotients", ["label", "lq"], rows)
         run.csv("lq.csv", ["label", "lq"], rows)
         run.json("lq.json", {"rows": [{"label": l, "lq": v} for l, v in rows]})
         return

@@ -29,7 +29,6 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularDesignError,
 )
-from .formatting import format_table, sig6, to_jsonable
 from .numerics import LOG_2PI, chi_square_sf, cholesky_lower, ols
 from .quarterly import Frame, Series, lag_matrix
 from .vecm import VecmFit, vecm_to_levels_var
@@ -60,34 +59,6 @@ class LagSelectionReport:
     t_eff: int
     n_vars: int
     selected: dict  # criterion -> lag (LR entry may be None)
-
-    def to_dict(self) -> dict:
-        return to_jsonable(self)
-
-    def format_table(self) -> str:
-        def mark(value: str, criterion: str, lag: int) -> str:
-            return value + ("*" if self.selected.get(criterion) == lag else "")
-
-        body = []
-        for r in self.rows:
-            body.append(
-                [
-                    str(r.lag),
-                    sig6(r.log_likelihood),
-                    mark(sig6(r.lr), "lr", r.lag) if r.lr is not None else "",
-                    str(r.lr_df) if r.lr_df is not None else "",
-                    sig6(r.lr_p) if r.lr_p is not None else "",
-                    mark(sig6(r.fpe), "fpe", r.lag),
-                    mark(sig6(r.aic), "aic", r.lag),
-                    mark(sig6(r.hqic), "hqic", r.lag),
-                    mark(sig6(r.sbic), "sbic", r.lag),
-                ]
-            )
-        return format_table(
-            ["lag", "LL", "LR", "df", "p", "FPE", "AIC", "HQIC", "SBIC"],
-            body,
-            title=f"Lag-order selection (T_eff={self.t_eff}, * = selected)",
-        )
 
 
 def information_criteria(
@@ -168,9 +139,6 @@ class LmResult:
     statistic: float
     df: int
     p_value: float
-
-    def to_dict(self) -> dict:
-        return to_jsonable(self)
 
 
 def _require_variation(sigma: np.ndarray) -> None:
@@ -261,84 +229,7 @@ class NormalityReport:
 
     rows: tuple[EquationNormality, ...]
     n_eff: int
-
-    @property
-    def joint_skew_chi2(self) -> float:
-        return sum(r.skew_chi2 for r in self.rows)
-
-    @property
-    def joint_kurt_chi2(self) -> float:
-        return sum(r.kurt_chi2 for r in self.rows)
-
-    @property
-    def joint_jb(self) -> float:
-        return sum(r.jb for r in self.rows)
-
-    def joint_p_values(self) -> dict:
-        k = len(self.rows)
-        return {
-            "skewness": chi_square_sf(self.joint_skew_chi2, k),
-            "kurtosis": chi_square_sf(self.joint_kurt_chi2, k),
-            "jarque_bera": chi_square_sf(self.joint_jb, 2 * k),
-        }
-
-    def to_dict(self) -> dict:
-        k = len(self.rows)
-        joint_p = self.joint_p_values()
-        return {
-            "n_eff": self.n_eff,
-            "rows": [vars(r) for r in self.rows],
-            "joint": {
-                "skew_chi2": self.joint_skew_chi2,
-                "skew_df": k,
-                "skew_p": joint_p["skewness"],
-                "kurt_chi2": self.joint_kurt_chi2,
-                "kurt_df": k,
-                "kurt_p": joint_p["kurtosis"],
-                "jb": self.joint_jb,
-                "jb_df": 2 * k,
-                "jb_p": joint_p["jarque_bera"],
-            },
-        }
-
-    def format_table(self) -> str:
-        body = []
-        for r in self.rows:
-            body.append(
-                [
-                    r.name,
-                    sig6(r.jb),
-                    "2",
-                    sig6(r.jb_p),
-                    sig6(r.skewness),
-                    sig6(r.skew_chi2),
-                    sig6(r.skew_p),
-                    sig6(r.kurtosis),
-                    sig6(r.kurt_chi2),
-                    sig6(r.kurt_p),
-                ]
-            )
-        k = len(self.rows)
-        joint_p = self.joint_p_values()
-        body.append(
-            [
-                "ALL",
-                sig6(self.joint_jb),
-                str(2 * k),
-                sig6(joint_p["jarque_bera"]),
-                "",
-                sig6(self.joint_skew_chi2),
-                sig6(joint_p["skewness"]),
-                "",
-                sig6(self.joint_kurt_chi2),
-                sig6(joint_p["kurtosis"]),
-            ]
-        )
-        return format_table(
-            ["equation", "JB", "df", "p", "skew", "skew chi2", "p", "kurt", "kurt chi2", "p"],
-            body,
-            title=f"Normality tests (n_eff={self.n_eff})",
-        )
+    joint: dict  # skew_chi2/kurt_chi2/jb summed over equations, with df and p
 
 
 def normality_suite(
@@ -348,7 +239,8 @@ def normality_suite(
 ) -> NormalityReport:
     """Skewness/kurtosis/Jarque-Bera per equation on residuals that are
     centered then orthogonalized through the Cholesky factor of their ML
-    covariance; joint rows sum across equations."""
+    covariance; the joint statistics sum across the K equations, on K
+    degrees of freedom (2K for JB)."""
     u = np.asarray(residuals, dtype=float)
     if u.ndim == 1:
         u = u.reshape(-1, 1)
@@ -385,7 +277,21 @@ def normality_suite(
                 jb_p=chi_square_sf(jb, 2),
             )
         )
-    return NormalityReport(tuple(rows), n)
+    skew_chi2 = sum(r.skew_chi2 for r in rows)
+    kurt_chi2 = sum(r.kurt_chi2 for r in rows)
+    jb = sum(r.jb for r in rows)
+    joint = {
+        "skew_chi2": skew_chi2,
+        "skew_df": k,
+        "skew_p": chi_square_sf(skew_chi2, k),
+        "kurt_chi2": kurt_chi2,
+        "kurt_df": k,
+        "kurt_p": chi_square_sf(kurt_chi2, k),
+        "jb": jb,
+        "jb_df": 2 * k,
+        "jb_p": chi_square_sf(jb, 2 * k),
+    }
+    return NormalityReport(tuple(rows), n, joint)
 
 
 # Asymptotic Dickey-Fuller critical values (1%, 5%, 10%) per deterministic
@@ -424,7 +330,9 @@ class AdfResult:
 
 def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
     """Regress dy_t on y_{t-1}, lagged differences, and deterministic terms;
-    the statistic is the y_{t-1} coefficient over its standard error."""
+    the statistic is the y_{t-1} coefficient over its standard error. The
+    regression goes through ``ols``, so a rank-deficient design (an exact
+    trend, say) raises ``SingularDesignError``."""
     y = series.values if isinstance(series, Series) else np.asarray(series, dtype=float)
     if y.ndim != 1:
         raise DomainError("ADF input must be a single series")
@@ -452,18 +360,15 @@ def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
     x = np.column_stack(cols)
     target = dy[lags:]
 
-    q, r = np.linalg.qr(x)
-    coef = np.linalg.solve(r, q.T @ target)
-    resid = target - x @ coef
-    dof = n - x.shape[1]
-    if dof <= 0:
-        raise InsufficientDataError("not enough observations for the ADF regression")
-    s2 = float(resid @ resid) / dof
+    fit = ols(target[:, None], x)
+    resid = fit.residuals[:, 0]
+    s2 = float(resid @ resid) / (n - x.shape[1])
+    r = fit._factors[2]  # R of the fit's QR: (X'X)^-1 = R^-1 R^-T
     rinv = np.linalg.solve(r, np.eye(r.shape[0]))
     se = math.sqrt(s2 * float((rinv @ rinv.T)[0, 0]))
     if se == 0.0:
         raise DegenerateInputError("ADF regression has a degenerate exact fit")
-    stat = float(coef[0]) / se
+    stat = float(fit.coefficients[0, 0]) / se
 
     one, five, ten = ADF_CRITICAL_VALUES[spec]
     return AdfResult(
@@ -484,9 +389,6 @@ class StabilityReport:
     unit_count: int
     expected_unit_count: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return to_jsonable(self)
 
 
 def vecm_stability(fit: VecmFit) -> StabilityReport:

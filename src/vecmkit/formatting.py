@@ -1,6 +1,9 @@
-"""Every artifact format used by reports and the CLI: text tables, the
-JSON encoding of result records (``to_jsonable``) and the quarter-labelled
-CSV layout of frames (``write_frame``).
+"""Every artifact format used by the CLI: the JSON encoding of result
+records (``to_jsonable``), the quarter-labelled CSV layout of frames
+(``write_frame``) and the two text-table primitives, ``sig6`` and
+``format_table``. Which table shows which columns, under which title and
+with which marks, is laid out in ``cli`` next to the CSV rows each table is
+printed from; no result record formats itself.
 
 Text tables print numbers at 6 significant digits; JSON and CSV artifacts
 keep full precision so downstream stages can reload models bit-exactly.
@@ -37,9 +40,9 @@ def sig6(x: float) -> str:
     return s
 
 
-def format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[str]], title: str | None = None
-) -> str:
+def format_table(headers: Sequence[str], rows: Iterable[Sequence], title: str | None = None) -> str:
+    """Left-align the first column and right-align the rest under a dashed
+    rule; every cell is shown as ``str`` gives it."""
     rows = [list(map(str, r)) for r in rows]
     widths = [len(h) for h in headers]
     for row in rows:

@@ -296,24 +296,6 @@ class StatsReport:
     end: QuarterIndex
     columns: tuple[ColumnStats, ...]
 
-    def to_dict(self) -> dict:
-        from .formatting import to_jsonable
-
-        return to_jsonable(self)
-
-    def format_table(self) -> str:
-        from .formatting import format_table, sig6
-
-        rows = [
-            [c.name, sig6(c.mean), sig6(c.sd), sig6(c.minimum), sig6(c.maximum), str(c.count)]
-            for c in self.columns
-        ]
-        return format_table(
-            ["variable", "mean", "sd", "min", "max", "n"],
-            rows,
-            title=f"Summary statistics ({self.start}..{self.end})",
-        )
-
 
 def summary_stats(frame: Frame) -> StatsReport:
     """Mean, sample sd, min, max, and count for every column."""

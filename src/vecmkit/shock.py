@@ -67,9 +67,12 @@ class ShockScenario:
             raise DomainError(f"shock factor must be positive, got {self.factor}")
         if self.horizon < 1:
             raise DomainError(f"horizon must be >= 1, got {self.horizon}")
-
-    def to_dict(self) -> dict:
-        return to_jsonable(self)
+        if self.exog_lags < 0:
+            raise DomainError(f"exog_lags must be >= 0, got {self.exog_lags}")
+        if self.stage2_lags is not None and self.exog_lags > self.stage2_lags:
+            raise DomainError(
+                f"exog_lags must be in 0..{self.stage2_lags} (stage2_lags), got {self.exog_lags}"
+            )
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,7 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
     irfs = _stage(3, orthogonalized_irfs, fit3, horizon, target)
 
     audit = {
-        "scenario": scenario.to_dict(),
+        "scenario": to_jsonable(scenario),
         "lag_order_source": stages.lag_source,
         "stage1": {
             "scale": "levels",

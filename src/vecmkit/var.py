@@ -9,7 +9,7 @@ mutates the fit, so concurrent forecasts from one fit are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -46,11 +46,21 @@ class ExogenousBlock:
         object.__setattr__(self, "values", vals)
 
 
+def freeze_arrays(record) -> None:
+    """Mark every array field of a dataclass record, and every array in a
+    tuple field, read-only in place; nothing is copied."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class VarFit:
     """Estimated VAR(p): coefficient matrices, constants, exogenous block,
     residuals and their ML covariance, plus the sample tail needed to start
-    dynamic forecasts."""
+    dynamic forecasts. Its arrays are read-only, so a fit never changes."""
 
     p: int
     names: tuple[str, ...]
@@ -67,6 +77,9 @@ class VarFit:
     exog_values: np.ndarray | None = None  # in-sample rows
     exog_future: np.ndarray | None = None  # rows past the sample end
 
+    def __post_init__(self) -> None:
+        freeze_arrays(self)
+
     @property
     def n_vars(self) -> int:
         return len(self.names)
@@ -74,8 +87,8 @@ class VarFit:
     @cached_property
     def _irf_stacks(self) -> dict[int, np.ndarray]:
         """Read-only orthogonalized MA stacks by horizon, filled by
-        ``irf.orthogonalized_irfs``; a fit's fields never change, so neither
-        does a stack built from them."""
+        ``irf.orthogonalized_irfs``; a fit's arrays are read-only, so a
+        stack built from them stays valid."""
         return {}
 
     def to_dict(self) -> dict:
@@ -126,7 +139,7 @@ def fit_var(
     n_active = 0
     if exog is not None:
         if not 0 <= exog_lags <= p:
-            raise DomainError(f"exog_lags must be in 0..p, got {exog_lags}")
+            raise DomainError(f"exog_lags must be in 0..{p}, got {exog_lags}")
         if exog.values.shape[0] < t:
             raise CoverageError(
                 f"exogenous block covers {exog.values.shape[0]} rows, sample needs {t}"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +31,10 @@ from .errors import (
     RankError,
     SingularDesignError,
 )
-from .formatting import format_table, sig6, to_jsonable
+from .formatting import to_jsonable
 from .numerics import cholesky_lower, generalized_symmetric_eigen, ols
 from .quarterly import Frame, QuarterIndex, parse_quarter
-from .var import VarFit, forecast_var
+from .var import VarFit, forecast_var, freeze_arrays
 
 # 5% critical values for the trace statistic, unrestricted-constant case,
 # indexed by K - r.
@@ -56,24 +56,6 @@ TRACE_CRIT_5PCT: dict[int, float] = {
 # Eigenvalues are squared canonical correlations; keep them inside [0, 1) so
 # trace statistics stay finite even on exactly collinear inputs.
 _EIGENVALUE_CEIL = 1.0 - 1e-12
-
-
-@dataclass(frozen=True)
-class TraceCriticalValues:
-    """5% critical values for the trace test, indexed by K - r."""
-
-    table: Mapping[int, float]
-
-    def value(self, k_minus_r: int) -> float:
-        if k_minus_r not in self.table:
-            raise DomainError(
-                f"no trace critical value for K - r = {k_minus_r}; table covers "
-                f"{min(self.table)}..{max(self.table)}"
-            )
-        return float(self.table[k_minus_r])
-
-
-DEFAULT_TRACE_CRITICAL_VALUES = TraceCriticalValues(TRACE_CRIT_5PCT)
 
 
 def trace_statistics(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:
@@ -107,28 +89,6 @@ class JohansenResult:
         d = to_jsonable(self)
         d["lags"], d["critical_values_5pct"] = d.pop("k"), d.pop("critical_values")
         return {**d, "selected_rank": select_rank(self)}
-
-    def format_table(self) -> str:
-        selected = select_rank(self)
-        rows = []
-        for r in range(self.n_vars + 1):
-            rows.append(
-                [
-                    str(r),
-                    sig6(self.eigenvalues[r - 1]) if r >= 1 else "",
-                    sig6(self.trace_stats[r]) if r < self.n_vars else "",
-                    sig6(self.critical_values[r]) if r < self.n_vars else "",
-                    "*" if r == selected else "",
-                ]
-            )
-        return format_table(
-            ["rank", "eigenvalue", "trace statistic", "5% critical value", ""],
-            rows,
-            title=(
-                f"Trace test for cointegration rank "
-                f"(T_eff={self.t_eff}, lags={self.k}, trend: {self.deterministic})"
-            ),
-        )
 
 
 def _regressors(frame: Frame, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,9 +163,9 @@ def johansen_trace(frame: Frame, k: int) -> JohansenResult:
     lam, _, t_eff = _concentration(frame, k)
     stats = trace_statistics(lam, t_eff)
     n_vars = frame.n_columns
-    crit = np.array(
-        [DEFAULT_TRACE_CRITICAL_VALUES.value(n_vars - r) for r in range(n_vars)]
-    )
+    if n_vars not in TRACE_CRIT_5PCT:
+        raise DomainError(f"no trace critical value for K - r = {n_vars}; table covers 1..12")
+    crit = np.array([TRACE_CRIT_5PCT[n_vars - r] for r in range(n_vars)])
     return JohansenResult(
         names=frame.names,
         eigenvalues=lam,
@@ -233,7 +193,7 @@ class VecmFit:
     beta is normalized so the block picked out by ``beta_pivot`` (the first
     r rows whenever they are nonsingular) is exactly the identity; alpha, the
     short-run matrices and the constant come from least squares of dX_t on
-    [beta' X_{t-1}, dX lags, 1].
+    [beta' X_{t-1}, dX lags, 1]. Its arrays are read-only.
     """
 
     rank: int
@@ -249,6 +209,9 @@ class VecmFit:
     n_sample: int
     tail: np.ndarray  # k x K, last levels rows
     beta_pivot: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        freeze_arrays(self)
 
     @property
     def n_vars(self) -> int:
@@ -360,7 +323,7 @@ def vecm_to_levels_var(fit: VecmFit) -> VarFit:
         p=k,
         names=fit.names,
         coef_matrices=tuple(mats),
-        const=fit.const.copy(),
+        const=fit.const,
         residuals=fit.residuals,
         sigma=fit.sigma,
         sample_start=fit.sample_start,

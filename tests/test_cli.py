@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +62,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="horizon"):
             parse_config(str(path))
 
+    def test_seed_is_not_a_key(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": 3}))
+        with pytest.raises(ConfigError, match="unknown config key 'seed'"):
+            parse_config(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("no/such/config.json")
@@ -119,6 +127,131 @@ class TestDescribe:
         assert len(audit["dataset_sha256"]) == 64
         assert audit["versions"]["vecmkit"] == vk.__version__
         assert "describe.json" in audit["artifacts"]
+
+
+def printed_tables(text):
+    """(title, header, rows) of each table in a command's stdout; cells are
+    cut at the column spans of the dashed rule under the header."""
+    tables = []
+    for block in text.split("\n\n"):
+        lines = block.strip("\n").splitlines()
+        if len(lines) < 3 or not re.fullmatch(r"-+(  -+)*", lines[2]):
+            continue
+        spans = [m.span() for m in re.finditer(r"-+", lines[2])]
+        cells = [[line[a:b].strip() for a, b in spans] for line in lines[1:]]
+        tables.append((lines[0], cells[0], cells[2:]))
+    return tables
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def assert_cells(printed, expected):
+    """Each printed cell shows its expected value: blank for a blank or
+    None, within 6 significant digits for a number, else the same text."""
+    assert len(printed) == len(expected)
+    for cell, value in zip(printed, expected):
+        if value in ("", None):
+            assert cell == ""
+            continue
+        try:
+            number = float(value)
+        except ValueError:
+            assert cell == value
+        else:
+            assert float(cell) == pytest.approx(number, rel=5e-6, abs=0), (cell, value)
+
+
+class TestStdout:
+    """The printed tables against the artifacts each command writes."""
+
+    def run(self, dataset, tmp_path, capsys, *argv):
+        out = tmp_path / "out"
+        run_cli("--dataset", str(dataset), "-o", str(out), *argv)
+        return out, printed_tables(capsys.readouterr().out)
+
+    def test_johansen(self, dataset, tmp_path, capsys):
+        out, [(title, header, rows)] = self.run(dataset, tmp_path, capsys, "johansen", "--lags", "3")
+        assert title == "Trace test for cointegration rank (T_eff=66, lags=3, trend: constant)"
+        assert header == ["rank", "eigenvalue", "trace statistic", "5% critical value", ""]
+        _, expected = read_csv(out / "johansen.csv")
+        assert len(rows) == len(expected) == 7
+        for row, want in zip(rows, expected):
+            assert_cells(row, want)
+        selected = json.loads((out / "johansen.json").read_text())["selected_rank"]
+        assert [int(row[0]) for row in rows if row[-1] == "*"] == [selected]
+
+    def test_lagselect(self, dataset, tmp_path, capsys):
+        out, [(title, header, rows)] = self.run(dataset, tmp_path, capsys, "lagselect", "--max-lag", "4")
+        assert title == "Lag-order selection (T_eff=65, * = selected)"
+        assert header == ["lag", "LL", "LR", "df", "p", "FPE", "AIC", "HQIC", "SBIC"]
+        csv_header, expected = read_csv(out / "lagselect.csv")
+        assert len(rows) == len(expected) == 5
+        for row, want in zip(rows, expected):
+            assert_cells([c.rstrip("*") for c in row], want)
+        selected = json.loads((out / "lagselect.json").read_text())["selected"]
+        assert set(selected) == {"lr", "fpe", "aic", "hqic", "sbic"}
+        for criterion, lag in selected.items():
+            column = csv_header.index(criterion)
+            marked = [int(row[0]) for row in rows if row[column].endswith("*")]
+            assert marked == ([] if lag is None else [lag]), criterion
+        assert not any(c.endswith("*") for row in rows for c in row[:2] + row[3:5])
+
+    def test_describe(self, dataset, tmp_path, capsys):
+        out, [(title, header, rows)] = self.run(dataset, tmp_path, capsys, "describe")
+        assert title == "Summary statistics (2001Q1..2018Q1)"
+        assert header == ["variable", "mean", "sd", "min", "max", "n"]
+        _, expected = read_csv(out / "describe.csv")
+        assert len(rows) == len(expected) == 6
+        for row, want in zip(rows, expected):
+            assert_cells(row, want)
+
+    def test_diagnose(self, dataset, tmp_path, capsys):
+        out, [lm, normality] = self.run(dataset, tmp_path, capsys, "diagnose", "--lm-lags", "3")
+        title, header, rows = lm
+        assert title == "Residual autocorrelation (LM)"
+        assert header == ["lag", "chi2", "df", "p"]
+        _, expected = read_csv(out / "lm.csv")
+        assert len(rows) == len(expected) == 3
+        for row, want in zip(rows, expected):
+            assert_cells(row, want)
+
+        title, header, rows = normality
+        assert title == "Normality tests (n_eff=67)"
+        assert header == ["equation", "JB", "df", "p", "skew", "skew chi2", "p", "kurt", "kurt chi2", "p"]
+        _, expected = read_csv(out / "normality.csv")
+        assert len(rows) == len(expected) + 1 == 7
+        for row, (name, skew, kurt, skew_chi2, skew_p, kurt_chi2, kurt_p, jb, jb_p) in zip(rows, expected):
+            assert_cells(row, [name, jb, 2, jb_p, skew, skew_chi2, skew_p, kurt, kurt_chi2, kurt_p])
+        joint = json.loads((out / "diagnose.json").read_text())["normality"]["joint"]
+        assert_cells(
+            rows[-1],
+            ["ALL", joint["jb"], joint["jb_df"], joint["jb_p"], None, joint["skew_chi2"], joint["skew_p"],
+             None, joint["kurt_chi2"], joint["kurt_p"]],
+        )
+
+    def test_irf(self, dataset, tmp_path, capsys):
+        out, tables = self.run(dataset, tmp_path, capsys, "irf", "--impulse", "price", "--horizon", "8")
+        assert len(tables) == 6
+        for name, (title, header, rows) in zip(vk.DEFAULT_SCHEMA, tables):
+            assert title == f"Orthogonalized IRF: price -> {name}"
+            assert header == ["step", "response"]
+            _, expected = read_csv(out / f"irf_price_{name}.csv")
+            assert len(rows) == len(expected) == 9
+            for row, want in zip(rows, expected):
+                assert_cells(row, want)
+
+    def test_forecast(self, dataset, tmp_path, capsys):
+        out, [(title, header, rows)] = self.run(dataset, tmp_path, capsys, "forecast", "--horizon", "6")
+        assert title == "Dynamic forecast 2018Q2..2019Q3"
+        assert header == ["quarter", *vk.DEFAULT_SCHEMA]
+        _, expected = read_csv(out / "forecast.csv")
+        assert len(rows) == len(expected) == 6
+        for row, want in zip(rows, expected):
+            assert_cells(row, want)
 
 
 class TestCommands:

@@ -189,8 +189,8 @@ class TestNormalitySuite:
 
     def test_joint_is_sum_of_equations(self, rng):
         report = normality_suite(rng.standard_normal((100, 4)))
-        assert report.joint_jb == pytest.approx(sum(r.jb for r in report.rows), rel=1e-12)
-        assert report.joint_skew_chi2 == pytest.approx(
+        assert report.joint["jb"] == pytest.approx(sum(r.jb for r in report.rows), rel=1e-12)
+        assert report.joint["skew_chi2"] == pytest.approx(
             sum(r.skew_chi2 for r in report.rows), rel=1e-12
         )
 
@@ -201,7 +201,7 @@ class TestNormalitySuite:
 
     def test_gaussian_residuals_rarely_reject(self, rng):
         report = normality_suite(rng.standard_normal((5000, 2)))
-        assert report.joint_p_values()["jarque_bera"] > 0.01
+        assert report.joint["jb_p"] > 0.01
 
     def test_n_eff_override_scales_statistics(self, rng):
         data = rng.standard_normal((100, 2))
@@ -227,6 +227,12 @@ class TestAdf:
     def test_bad_spec(self):
         with pytest.raises(DomainError):
             adf_test(np.arange(60.0), 1, spec="seasonal")
+
+    @pytest.mark.parametrize("spec", ["constant", "constant+trend"])
+    def test_exact_trend_is_singular(self, spec):
+        # y_{t-1}, the constant dy lags and the constant are collinear
+        with pytest.raises(SingularDesignError):
+            adf_test(2.0 + 0.5 * np.arange(40.0), 2, spec)
 
     def test_critical_value_table_shape(self):
         for spec, (one, five, ten) in ADF_CRITICAL_VALUES.items():

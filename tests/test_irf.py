@@ -244,6 +244,18 @@ class TestStackPerFit:
         with pytest.raises(ValueError):
             irf.matrices[0, 0, 0] = 1.0
 
+    def test_fit_cannot_change_under_its_stack(self, panel69):
+        vfit = vk.fit_vecm(panel69, 2, 2)
+        fit = vecm_to_levels_var(vfit)
+        first = orthogonalized_irf(fit, 8, "exchange_rate", "output")
+        with pytest.raises(ValueError):
+            fit.sigma[:] = 4 * fit.sigma
+        for array in (vfit.alpha, vfit.beta, vfit.const, vfit.residuals, vfit.tail, *vfit.gammas):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        again = orthogonalized_irf(fit, 8, "exchange_rate", "output")
+        assert again.values.tobytes() == first.values.tobytes()
+
     def test_raising_call_keeps_nothing(self):
         fit = var_fit([np.eye(2) * 0.4], np.full((2, 2), 1.0), names=("a", "b"))
         for _ in range(2):

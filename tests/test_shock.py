@@ -307,7 +307,8 @@ class TestExogLags:
         assert result.stage2_forecast == vk.forecast_var(fit2, 20)
 
     def test_stage2_failure_raises_every_time(self, panel69):
-        bad = scenario(panel69, exog_lags=3, stage2_lags=2, stage3_lags=2)
+        # AIC picks p=1 on this panel, so exog_lags=2 fails only in stage 2
+        bad = scenario(panel69, exog_lags=2, stage3_lags=2)
         clear_memos()
         for _ in range(2):
             with pytest.raises(PipelineStageError) as err:
@@ -315,3 +316,22 @@ class TestExogLags:
             assert err.value.stage == 2
         info = _frame_stages.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+
+class TestScenarioChecks:
+    def test_negative_exog_lags(self, panel69):
+        with pytest.raises(DomainError, match="exog_lags must be >= 0, got -1"):
+            scenario(panel69, exog_lags=-1)
+
+    def test_exog_lags_above_stage2_lags(self, panel69):
+        with pytest.raises(DomainError, match=r"exog_lags must be in 0\.\.1 \(stage2_lags\), got 3"):
+            scenario(panel69, exog_lags=3, stage2_lags=1)
+
+    def test_exog_lags_up_to_stage2_lags_accepted(self, panel69):
+        assert scenario(panel69, exog_lags=2, stage2_lags=2).exog_lags == 2
+
+    def test_aic_lags_named_in_stage2_error(self, panel69):
+        # the AIC search picks p=1 here, which the message names
+        with pytest.raises(PipelineStageError, match=r"exog_lags must be in 0\.\.1, got 2") as err:
+            run_three_stage(panel69, scenario(panel69, exog_lags=2))
+        assert err.value.stage == 2

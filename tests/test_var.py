@@ -104,6 +104,25 @@ class TestFitVar:
         )
 
 
+class TestReadOnly:
+    def test_in_place_write_raises(self, panel69):
+        fit = fit_var(panel69, 2)
+        for array in (fit.const, fit.residuals, fit.sigma, fit.tail, fit.exog_coef, *fit.coef_matrices):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_arrays_kept_not_copied(self):
+        fit = scalar_fit(0.5)
+        sigma = np.array([[2.0]])
+        again = VarFit(**{**vars(fit), "sigma": sigma})
+        assert again.sigma is sigma and not sigma.flags.writeable
+
+    def test_exog_lags_message_names_p(self, rng):
+        frame = make_frame(rng.standard_normal((40, 2)))
+        with pytest.raises(vk.DomainError, match=r"exog_lags must be in 0\.\.2, got 3"):
+            fit_var(frame, 2, exog=ExogenousBlock(("z",), rng.standard_normal((40, 1))), exog_lags=3)
+
+
 class TestCompanion:
     def test_scalar_var1(self):
         assert companion_matrix(scalar_fit(0.5)).tolist() == [[0.5]]

@@ -8,7 +8,6 @@ import vecmkit as vk
 from vecmkit import (
     TRACE_CRIT_5PCT,
     JohansenResult,
-    TraceCriticalValues,
     VecmFit,
     fit_vecm,
     forecast_vecm,
@@ -75,9 +74,10 @@ class TestCriticalValues:
         vals = [TRACE_CRIT_5PCT[i] for i in range(1, 13)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_lookup_guard(self):
-        with pytest.raises(vk.DomainError):
-            TraceCriticalValues(TRACE_CRIT_5PCT).value(13)
+    def test_lookup_guard(self, rng):
+        frame = make_frame(np.cumsum(rng.standard_normal((69, 13)), axis=0))
+        with pytest.raises(vk.DomainError, match="K - r = 13; table covers 1..12"):
+            johansen_trace(frame, 2)
 
 
 class TestSelectRank:

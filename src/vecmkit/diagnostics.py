@@ -83,7 +83,11 @@ def information_criteria(
 
 def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
     """Fit VAR(j) for j = 0..max_lag on the common sample and report LR,
-    FPE, AIC, HQIC and SBIC with the per-criterion selected lag."""
+    FPE, AIC, HQIC and SBIC with the per-criterion selected lag.
+
+    Every VAR(j) is a leading block of one QR of the VAR(max_lag) design,
+    and its log likelihood is read off that factor's residual covariance;
+    no coefficients or residuals are formed."""
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
     k = frame.n_columns
@@ -165,10 +169,11 @@ def lm_autocorrelation(
 
     The design [base, lagged] is factored once: the restricted fit on
     ``base`` is its leading block (``OlsFit.leading``), which equals a
-    separate fit on ``base`` to rounding. When the full design cannot be
-    fitted, the restricted fit alone decides the error, so residuals with a
-    singular covariance are reported as degenerate, as a separate fit
-    would report them.
+    separate fit on ``base`` to rounding. Both covariances are read off
+    the factor, so no auxiliary residuals are formed. When the full design
+    cannot be fitted, the restricted fit alone decides the error, so
+    residuals with a singular covariance are reported as degenerate, as a
+    separate fit would report them.
     """
     u = np.asarray(residuals, dtype=float)
     if u.ndim != 2:
@@ -361,9 +366,8 @@ def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
     target = dy[lags:]
 
     fit = ols(target[:, None], x)
-    resid = fit.residuals[:, 0]
-    s2 = float(resid @ resid) / (n - x.shape[1])
-    r = fit._factors[2]  # R of the fit's QR: (X'X)^-1 = R^-1 R^-T
+    s2 = float(fit.sigma[0, 0]) * n / (n - x.shape[1])
+    r = fit.r  # (X'X)^-1 = R^-1 R^-T
     rinv = np.linalg.solve(r, np.eye(r.shape[0]))
     se = math.sqrt(s2 * float((rinv @ rinv.T)[0, 0]))
     if se == 0.0:

@@ -1,10 +1,15 @@
 """Dense linear-algebra and distribution primitives shared by the estimators.
 
-Least squares goes through one LAPACK QR factorization per design
-(conditioning of near-collinear macro panels). The fit keeps its factors, so
-the fit on any leading block of columns is a triangular solve on the leading
-block of R, not a second factorization; nested models such as the VAR(j)
-of a lag search come from one QR of the widest design.
+Least squares factors the augmented matrix [X | Y] once, by one LAPACK
+Householder QR (conditioning of near-collinear macro panels), and keeps only
+the triangular factor R; no Q is formed. Q'[X | Y] = R, so the blocks of R
+hold everything a fit on the first m columns of X needs: the leading m x m
+block factors X[:, :m], the block beside it is the leading part of Q'Y, and
+the trailing block of the Y columns, rows m onward, has the residual
+cross-product as its Gram matrix. Residual covariances are read off R
+without forming residuals, and nested models such as the VAR(j) of a lag
+search, or the restricted and unrestricted fits of an LM test, all come
+from one factorization of the widest design.
 
 Cholesky factors come from LAPACK. Positive definiteness is decided by
 pivots exceeding 1e-12: when LAPACK fails or its smallest pivot is within
@@ -15,7 +20,7 @@ pivot. Symmetry is checked at 1e-8 relative tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,28 +57,68 @@ def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-@dataclass(frozen=True)
 class OlsFit:
-    """Equation-by-equation least squares fit of Y on X.
+    """Equation-by-equation least squares fit of Y on the first m columns of X.
 
-    sigma uses the maximum-likelihood divisor T; log_likelihood follows the
-    Gaussian profile likelihood -(T/2)(K ln 2pi + K + ln|sigma|) and raises
-    on a degenerate (singular) sigma rather than returning -inf.
+    The fit holds a read-only copy of [X | Y] (T x (n + K), X first) and R,
+    the upper-triangular factor of its Householder QR; Q is never formed.
+    Because Q'[X | Y] = R, the rows of R split at m give every fit on a
+    leading block of X:
+
+    - ``R[:m, :m]`` is the triangular factor of X[:, :m], and ``R[:m, n:]``
+      is the leading part of Q'Y, so the coefficients are the triangular
+      solve of the one against the other;
+    - the trailing block ``tail = R[m:, n:]`` holds the coordinates of the
+      residuals in the orthogonal complement of X[:, :m], so
+      ``tail' tail = E'E`` for the residual matrix E (Golub & Van Loan,
+      Matrix Computations, 5.3).
+
+    sigma is therefore read off R with the maximum-likelihood divisor T,
+    and coefficients and residuals are computed only when first read. Every
+    array the fit returns is read-only. log_likelihood follows the Gaussian
+    profile likelihood -(T/2)(K ln 2pi + K + ln|sigma|) and raises on a
+    degenerate (singular) sigma rather than returning -inf.
     """
 
-    coefficients: np.ndarray  # m x K
-    residuals: np.ndarray  # T x K
-    sigma: np.ndarray  # K x K
-    # Y, X, R and Q'Y of the design's QR factorization, for leading()
-    _factors: tuple = field(default=(), repr=False, compare=False)
+    def __init__(self, xy: np.ndarray, r: np.ndarray, n_x: int, m: int):
+        diag = np.abs(np.diag(r)[:m])
+        if diag.min() <= max(xy.shape[0], m) * np.finfo(float).eps * max(diag.max(), 1.0):
+            raise SingularDesignError(
+                f"design matrix is rank deficient (column pivot {int(diag.argmin())})"
+            )
+        self._xy = xy  # [X | Y], read-only
+        self._r = r  # R of the QR of [X | Y], read-only
+        self._n_x = n_x  # columns of X in [X | Y]
+        self._m = m  # regressors of this fit: the first m columns of X
 
     @property
     def nobs(self) -> int:
-        return int(self.residuals.shape[0])
+        return int(self._xy.shape[0])
+
+    @property
+    def r(self) -> np.ndarray:
+        """The m x m upper-triangular factor of the design: X'X = R'R."""
+        return self._r[: self._m, : self._m]
+
+    @cached_property
+    def sigma(self) -> np.ndarray:  # K x K
+        tail = self._r[self._m :, self._n_x :]
+        s = tail.T @ tail / self.nobs
+        return _read_only(0.5 * (s + s.T))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:  # m x K
+        m = self._m
+        return _read_only(np.linalg.solve(self._r[:m, :m], self._r[:m, self._n_x :]))
+
+    @cached_property
+    def residuals(self) -> np.ndarray:  # T x K
+        y = self._xy[:, self._n_x :]
+        return _read_only(y - self._xy[:, : self._m] @ self.coefficients)
 
     @cached_property
     def log_likelihood(self) -> float:
-        t, k = self.residuals.shape
+        t, k = self.nobs, self.sigma.shape[0]
         try:
             ld = log_det(self.sigma)
         except NotPositiveDefiniteError as exc:
@@ -84,42 +129,29 @@ class OlsFit:
         return -0.5 * t * (k * LOG_2PI + k + ld)
 
     def leading(self, m: int) -> "OlsFit":
-        """The fit of Y on the first m columns of X, from the stored QR.
+        """The fit of Y on the first m columns of X: a view on the same R.
 
-        Householder QR treats the columns in order, so the leading m x m
-        block of R and the first m entries of Q'Y are the factors of X[:, :m]
-        (Golub & Van Loan, Matrix Computations, 5.2); the result matches
-        ``ols(Y, X[:, :m])`` to rounding.
+        Householder QR treats the columns in order, so the leading blocks of
+        R factor X[:, :m] and its trailing block gives that fit's residual
+        cross-product; the result matches ``ols(Y, X[:, :m])`` to rounding.
         """
-        y, x, r, qty = self._factors
-        if not 1 <= m <= x.shape[1]:
-            raise DomainError(f"leading width must lie in 1..{x.shape[1]}, got {m}")
-        return _solve_qr(y, x[:, :m], r[:m, :m], qty[:m])
+        if not 1 <= m <= self._n_x:
+            raise DomainError(f"leading width must lie in 1..{self._n_x}, got {m}")
+        return OlsFit(self._xy, self._r, self._n_x, m)
 
 
-def _solve_qr(y: np.ndarray, x: np.ndarray, r: np.ndarray, qty: np.ndarray) -> OlsFit:
-    t, m = x.shape
-    diag = np.abs(np.diag(r))
-    if diag.min() <= max(t, m) * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise SingularDesignError(
-            f"design matrix is rank deficient (column pivot {int(diag.argmin())})"
-        )
-    coef = np.linalg.solve(r, qty)
-    resid = y - x @ coef
-    sigma = resid.T @ resid / t
-    return OlsFit(
-        coefficients=coef,
-        residuals=resid,
-        sigma=0.5 * (sigma + sigma.T),
-        _factors=(y, x, r, qty),
-    )
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def ols(y, x) -> OlsFit:
-    """Multivariate least squares via QR; raises on rank deficiency.
+    """Multivariate least squares via one QR of [X | Y]; raises on rank
+    deficiency.
 
-    The returned fit keeps the factors, so ``fit.leading(m)`` gives the fit
-    on the first m regressors without factoring again.
+    The fit keeps its own read-only copy of [X | Y] and the factor R, so
+    ``fit.leading(m)`` gives the fit on the first m regressors without
+    factoring again, and later writes to the caller's arrays change nothing.
     """
     y = _as_matrix(y, "Y")
     x = _as_matrix(x, "X")
@@ -128,8 +160,8 @@ def ols(y, x) -> OlsFit:
         raise DomainError(f"Y has {y.shape[0]} rows but X has {t}")
     if t <= m:
         raise InsufficientDataError(f"need more observations ({t}) than regressors ({m})")
-    q, r = np.linalg.qr(x)
-    return _solve_qr(y, x, r, q.T @ y)
+    xy = _read_only(np.hstack([x, y]))
+    return OlsFit(xy, _read_only(np.linalg.qr(xy, mode="r")), m, m)
 
 
 def cholesky_lower(a) -> np.ndarray:

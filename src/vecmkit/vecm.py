@@ -122,20 +122,18 @@ class _Concentration(NamedTuple):
 
 def _concentrate(frame: Frame, k: int) -> _Concentration:
     """Regress dX_t and X_{t-1} on the constant and the k-1 lagged
-    differences, form the product-moment matrices S00, S01, S11 of the two
-    residual sets, and solve the eigenproblem."""
+    differences, take the product-moment matrices S00, S01, S11 of the two
+    residual sets, and solve the eigenproblem.
+
+    The S matrices are the blocks of one fit's residual covariance, which
+    ``ols`` reads off its triangular factor, so no residuals are formed."""
     z0, z1, z2 = _regressors(frame, k)
     t_eff, n_vars = z0.shape
-    resid = ols(np.hstack([z0, z1]), z2).residuals  # one QR of z2 for both
-    r0 = resid[:, :n_vars]
-    r1 = resid[:, n_vars:]
-    s00 = r0.T @ r0 / t_eff
-    s01 = r0.T @ r1 / t_eff
-    s11 = r1.T @ r1 / t_eff
-    s11 = 0.5 * (s11 + s11.T)
+    s = ols(np.hstack([z0, z1]), z2).sigma
+    s00, s01, s11 = s[:n_vars, :n_vars], s[:n_vars, n_vars:], s[n_vars:, n_vars:]
 
     try:
-        l00 = cholesky_lower(0.5 * (s00 + s00.T))
+        l00 = cholesky_lower(s00)
     except NotPositiveDefiniteError as exc:
         raise SingularDesignError(f"S00 is singular (pivot {exc.pivot})") from exc
     w = np.linalg.solve(l00, s01)  # so that S10 S00^-1 S01 = W'W
@@ -158,13 +156,15 @@ def johansen_trace(frame: Frame, k: int) -> JohansenResult:
     """Run the trace test on a levels frame with lag order k.
 
     T_eff is frame length minus k; eigenvalues come back descending and the
-    trace statistic for each candidate rank is evaluated from them.
+    trace statistic for each candidate rank is evaluated from them. A frame
+    wider than ``TRACE_CRIT_5PCT`` covers raises ``DomainError`` before any
+    data check or concentration runs.
     """
-    lam, _, t_eff = _concentration(frame, k)
-    stats = trace_statistics(lam, t_eff)
     n_vars = frame.n_columns
     if n_vars not in TRACE_CRIT_5PCT:
         raise DomainError(f"no trace critical value for K - r = {n_vars}; table covers 1..12")
+    lam, _, t_eff = _concentration(frame, k)
+    stats = trace_statistics(lam, t_eff)
     crit = np.array([TRACE_CRIT_5PCT[n_vars - r] for r in range(n_vars)])
     return JohansenResult(
         names=frame.names,

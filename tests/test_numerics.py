@@ -88,6 +88,73 @@ class TestOls:
         with pytest.raises(DegenerateInputError):
             fit.log_likelihood
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 6),
+        extra_rows=st.integers(1, 60),
+    )
+    def test_exact_fit_is_degenerate_for_any_design(self, seed, width, extra_rows):
+        rng = np.random.default_rng(seed)
+        t = width + extra_rows
+        x = np.hstack([np.ones((t, 1)), rng.standard_normal((t, width - 1))])
+        with pytest.raises(DegenerateInputError):
+            ols(2.0 * x, x).log_likelihood
+
+    def test_caller_writes_after_the_fit_change_nothing(self, rng):
+        x = rng.standard_normal((50, 4))
+        y = rng.standard_normal((50, 2))
+        want = ols(np.array(y), np.array(x)[:, :2])
+        fit = ols(y, x)
+        x[:, 1] *= 3.0
+        y[:] = 0.0
+        nested = fit.leading(2)
+        for got, ref in (
+            (nested.residuals, want.residuals),
+            (nested.coefficients, want.coefficients),
+            (nested.sigma, want.sigma),
+        ):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+    def test_fit_arrays_are_read_only(self, rng):
+        fit = ols(rng.standard_normal((50, 2)), rng.standard_normal((50, 4)))
+        for fit_ in (fit, fit.leading(2)):
+            for array in (fit_.sigma, fit_.coefficients, fit_.residuals, fit_.r):
+                with pytest.raises(ValueError):
+                    array[:] = 4 * array
+
+
+def assert_rel(got, want, rel):
+    """Normwise relative agreement, so entries near zero are judged on the
+    scale of the whole array."""
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+class TestOlsFromR:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 9),
+        n_eq=st.integers(1, 6),
+        extra_rows=st.integers(0, 60),
+    )
+    def test_sigma_is_residual_cross_product(self, seed, width, n_eq, extra_rows):
+        # extra_rows < n_eq leaves fewer rows than columns of [X | Y], where
+        # R is trapezoidal and its trailing block has T - m rows
+        rng = np.random.default_rng(seed)
+        t = width + 1 + extra_rows
+        x = np.hstack([np.ones((t, 1)), rng.standard_normal((t, width - 1))])
+        y = rng.standard_normal((t, n_eq))
+        fit = ols(y, x)
+        assert_rel(fit.sigma, fit.residuals.T @ fit.residuals / t, 1e-10)
+        np.testing.assert_array_equal(fit.sigma, fit.sigma.T)
+
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 9), n_eq=st.integers(1, 4))
+    def test_r_is_the_triangular_factor_of_the_design(self, seed, width, n_eq):
+        rng = np.random.default_rng(seed)
+        x = np.hstack([np.ones((40, 1)), rng.standard_normal((40, width - 1))])
+        fit = ols(rng.standard_normal((40, n_eq)), x)
+        np.testing.assert_array_equal(fit.r, np.triu(fit.r))
+        assert_rel(fit.r.T @ fit.r, x.T @ x, 1e-12)
+
 
 class TestOlsLeading:
     @given(

@@ -16,10 +16,13 @@ from vecmkit import (
     trace_statistics,
     vecm_to_levels_var,
 )
+from vecmkit import vecm
 from vecmkit.errors import InsufficientDataError, RankError
+from vecmkit.numerics import OlsFit, ols
 from vecmkit.quarterly import first_difference, lag_matrix
 from vecmkit.var import forecast_var, stability_moduli
-from vecmkit.vecm import _concentration, _regressors
+from vecmkit.diagnostics import lag_order_selection, lm_autocorrelation
+from vecmkit.vecm import _concentrate, _concentration, _regressors
 
 from conftest import make_frame, simulate_vecm, well_specified_vecm_fit
 
@@ -78,6 +81,20 @@ class TestCriticalValues:
         frame = make_frame(np.cumsum(rng.standard_normal((69, 13)), axis=0))
         with pytest.raises(vk.DomainError, match="K - r = 13; table covers 1..12"):
             johansen_trace(frame, 2)
+
+    def test_guard_runs_before_any_concentration(self, rng, monkeypatch):
+        # a 13-column frame fails on the table before any data check, so
+        # one that is also too short for its lags gets DomainError too
+        calls = []
+        real = vecm._concentrate
+        monkeypatch.setattr(vecm, "_concentrate", lambda f, k: calls.append(k) or real(f, k))
+        _concentration.cache_clear()
+        for rows in (69, 10):
+            frame = make_frame(np.cumsum(rng.standard_normal((rows, 13)), axis=0))
+            with pytest.raises(vk.DomainError, match="K - r = 13; table covers 1..12"):
+                johansen_trace(frame, 2)
+        assert calls == []
+        assert _concentration.cache_info().currsize == 0
 
 
 class TestSelectRank:
@@ -168,6 +185,71 @@ def fit_fields(fit):
         a.tobytes()
         for a in (fit.alpha, fit.beta, fit.const, fit.residuals, fit.sigma, *fit.gammas)
     ] + [fit.beta_pivot]
+
+
+def residual_moments(frame, k):
+    """S00, S01, S11 from explicit residuals of dX_t and X_{t-1} on z2,
+    fitted by a separate least-squares solve."""
+    z0, z1, z2 = _regressors(frame, k)
+    n_vars = z0.shape[1]
+    targets = np.hstack([z0, z1])
+    coef, *_ = np.linalg.lstsq(z2, targets, rcond=None)
+    resid = targets - z2 @ coef
+    r0, r1 = resid[:, :n_vars], resid[:, n_vars:]
+    t_eff = z0.shape[0]
+    return r0.T @ r0 / t_eff, r0.T @ r1 / t_eff, r1.T @ r1 / t_eff
+
+
+def norm_rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestConcentrationMoments:
+    @given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(1, 5), k=st.integers(1, 4))
+    @settings(max_examples=40)
+    def test_match_residual_products(self, seed, n_vars, k):
+        rng = np.random.default_rng(seed)
+        frame = make_frame(np.cumsum(rng.standard_normal((80, n_vars)), axis=0))
+        z0, z1, z2 = _regressors(frame, k)
+        s = ols(np.hstack([z0, z1]), z2).sigma
+        s00, s01, s11 = residual_moments(frame, k)
+        assert norm_rel(s[:n_vars, :n_vars], s00) <= 1e-10
+        assert norm_rel(s[:n_vars, n_vars:], s01) <= 1e-10
+        assert norm_rel(s[n_vars:, n_vars:], s11) <= 1e-10
+
+        # the eigenpairs solve S10 S00^-1 S01 v = lambda S11 v on the
+        # residual-based moments, with v' S11 v = I
+        lam, vecs, _ = _concentrate(frame, k)
+        a = s01.T @ np.linalg.solve(s00, s01)
+        want = scipy.linalg.eigh(0.5 * (a + a.T), s11, eigvals_only=True)[::-1]
+        np.testing.assert_allclose(lam, want, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(vecs.T @ s11 @ vecs, np.eye(n_vars), rtol=0.0, atol=1e-9)
+        assert norm_rel(a @ vecs, s11 @ vecs * lam) <= 1e-9
+
+
+class TestCovarianceOnlyCallers:
+    def test_no_coefficients_or_residuals(self, panel69, monkeypatch):
+        """The lag search, the LM test and the trace test read residual
+        covariances off R alone."""
+        computed = []
+        for name in ("coefficients", "residuals"):
+            real = OlsFit.__dict__[name].func
+
+            def spy(fit, name=name, real=real):
+                computed.append(name)
+                return real(fit)
+
+            monkeypatch.setattr(OlsFit, name, property(spy))
+        residuals = np.diff(panel69.values, axis=0)
+        _concentration.cache_clear()
+        lag_order_selection(panel69, 4)
+        for lag in (1, 2):
+            lm_autocorrelation(residuals, lag)
+            lm_autocorrelation(residuals, lag, np.ones((len(residuals), 1)))
+        johansen_trace(panel69, 2)
+        assert computed == []
+        fit_vecm(panel69, 2, 2)  # the spies do count when a fit reads them
+        assert set(computed) == {"coefficients", "residuals"}
 
 
 class TestConcentrationMemo:

@@ -55,7 +55,6 @@ from .numerics import (
     ols,
 )
 from .var import (
-    ExogenousBlock,
     VarFit,
     companion_matrix,
     fit_var,

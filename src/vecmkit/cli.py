@@ -408,7 +408,7 @@ def _cmd_shock(run: _Run) -> None:
     run.frame_csv("stage1_forecast.csv", result.stage1_forecast)
     run.frame_csv("shocked_path.csv", Frame(shocked.start, (shocked.name,), shocked.values[:, None]))
     run.frame_csv("stage2_forecast.csv", result.stage2_forecast)
-    run.json("stage3_model.json", result.stage3_fit.to_dict())
+    run.json("stage3_model.json", to_jsonable(result.stage3_fit))
     for name, irf in result.irfs.items():
         run.csv(f"irf_{scenario.target}_{name}.csv", ["step", "response"], irf.csv_rows())
     _table(

@@ -262,20 +262,31 @@ def first_difference(frame: Frame) -> Frame:
     return Frame(frame.start.next(), frame.names, np.diff(frame.values, axis=0))
 
 
-def lag_matrix(frame: Frame, p: int) -> np.ndarray:
-    """Stacked lag block [X_{t-1} ... X_{t-p}] with T-p usable rows.
+def _lag_blocks(values: np.ndarray, p: int) -> list[np.ndarray]:
+    """The blocks of ``lag_matrix(values, p)``, lag 1 first, as views."""
+    t = values.shape[0]
+    return [values[p - j : t - j] for j in range(1, p + 1)]
 
-    Row i of the output is aligned with frame.values[p + i]; the columns for
-    lag j sit in block j-1 (so entry (i, (j-1)*K + v) equals column v at
-    time p + i - j).
+
+def lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
+    """Stacked lag block [X_{t-1} ... X_{t-p}] of a T x K array, with T-p
+    usable rows; p = 0 gives a T x 0 block.
+
+    This is the one lag layout of every lagged design (VAR, VECM, VARX and
+    ADF regressions; Lütkepohl 2005, §3.2 and §10.3): row i is aligned with
+    values[p + i], and the columns for lag j sit in block j-1, so entry
+    (i, (j-1)*K + v) equals values[p + i - j, v]. Designs splice the same
+    blocks after their constant in one ``np.hstack``.
     """
-    if p < 1:
-        raise DomainError(f"lag count must be >= 1, got {p}")
-    t = len(frame)
-    if p >= t:
-        raise InsufficientDataError(f"lag count {p} needs more than {t} rows")
-    blocks = [frame.values[p - j : t - j] for j in range(1, p + 1)]
-    return np.hstack(blocks)
+    values = np.asarray(values)
+    if values.ndim != 2:
+        raise DomainError(f"lag_matrix needs a T x K array, got shape {values.shape}")
+    if p < 0:
+        raise DomainError(f"lag count must be >= 0, got {p}")
+    if p >= values.shape[0]:
+        raise InsufficientDataError(f"lag count {p} needs more than {values.shape[0]} rows")
+    # the zero-width leading slice gives p = 0 its T x 0 shape
+    return np.hstack([values[p:, :0], *_lag_blocks(values, p)])
 
 
 @dataclass(frozen=True)

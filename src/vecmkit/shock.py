@@ -19,8 +19,10 @@ equality: start, names and every value bit for bit) together with the VECM
 lags, rank, horizon, whether the lag search runs, the target, the stage-2
 lags and the exogenous lags. The stage-2 fit reads the exogenous target only
 on in-sample rows, where every factor's spliced path equals the differenced
-actuals, so it is fitted on those alone; the factor reaches stage 2 only
-through the forecast's ``exog_path``, the shocked rows of the spliced path.
+actuals, so its exogenous block is the differenced target column of the
+sample alone. The factor reaches stage 2 only through the forecast's
+``exog_path``: a one-column ``Frame`` of the spliced path's shocked rows,
+starting at the first forecast quarter.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
 from .formatting import to_jsonable
 from .irf import IrfResult, orthogonalized_irfs
 from .quarterly import Frame, QuarterIndex, Series, first_difference
-from .var import ExogenousBlock, VarFit, fit_var, forecast_var
+from .var import VarFit, fit_var, forecast_var
 from .vecm import fit_vecm, forecast_vecm
 
 DEFAULT_LAG_SEARCH = 4
@@ -149,10 +151,11 @@ def _frame_stages(
         picked = max(lag_order_selection(d_frame, search).selected["aic"], 1)
         lag_source = f"aic(max_lag={search})"
     p2 = picked if stage2_lags is None else stage2_lags
-    # The fit reads exogenous rows p2..T-1 only: the in-sample target
-    # differences, which every factor's spliced path shares.
-    block = ExogenousBlock((target,), d_frame.column(target).reshape(-1, 1))
-    fit2 = _stage(2, fit_var, d_frame.drop(target), p2, exog=block, exog_lags=exog_lags)
+    # The fit reads the in-sample target differences only, which every
+    # factor's spliced path shares.
+    fit2 = _stage(
+        2, fit_var, d_frame.drop(target), p2, exog=d_frame.select([target]), exog_lags=exog_lags
+    )
     return _FrameStages(
         baseline, int(vfit.residuals.shape[0]), d_frame, picked, lag_source, fit2
     )
@@ -209,9 +212,8 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
     # exogenous, conditionally forecast the rest. The factor enters only
     # through the spliced path's forecast rows.
     d_spliced = np.diff(np.concatenate([frame.column(target), shocked.values]))
-    stage2_forecast = _stage(
-        2, forecast_var, fit2, horizon, exog_path=d_spliced[len(d_frame) :]
-    )
+    path = Frame(forecast_start, (target,), d_spliced[len(d_frame) :, None])
+    stage2_forecast = _stage(2, forecast_var, fit2, horizon, exog_path=path)
 
     # Stage 3: splice differenced in-sample rows with stage-2 forecasts,
     # target endogenous again, and read IRFs off the refitted VAR.

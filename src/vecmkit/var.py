@@ -1,49 +1,26 @@
 """VAR(p) estimation with optional exogenous regressors, companion form,
 stability moduli, and dynamic (iterated) point forecasting.
 
-The model is X_t = C + A_1 X_{t-1} + ... + A_p X_{t-p} + B Z_t + e_t, where
-the exogenous block Z enters contemporaneously by default (lagged entry is
-available through ``exog_lags``). Fits are immutable; forecasting never
-mutates the fit, so concurrent forecasts from one fit are safe.
+The model is X_t = C + A_1 X_{t-1} + ... + A_p X_{t-p} + B_0 Z_t + ... +
+B_q Z_{t-q} + e_t, where the exogenous block Z enters contemporaneously by
+default (q = ``exog_lags`` adds its lags). Z is a ``Frame`` aligned with the
+sample: it starts at the sample's first quarter and covers every sample row.
+Its future rows have one way in, the ``exog_path`` ``Frame`` of
+``forecast_var``, which starts at the first forecast quarter. Fits are
+immutable; forecasting never mutates the fit, so concurrent forecasts from
+one fit are safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CoverageError, DomainError, InsufficientDataError
-from .formatting import to_jsonable
 from .numerics import eigen_moduli, ols
-from .quarterly import Frame, QuarterIndex, lag_matrix, parse_quarter
-
-
-@dataclass(frozen=True)
-class ExogenousBlock:
-    """Named exogenous series aligned with the estimation sample.
-
-    ``values`` may extend past the sample end; the surplus rows are kept on
-    the fit and used as the default future path when forecasting.
-    """
-
-    names: tuple[str, ...]
-    values: np.ndarray  # rows x n_exog
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals.reshape(-1, 1)
-        if vals.shape[1] != len(self.names):
-            raise DomainError(
-                f"{len(self.names)} exogenous names for {vals.shape[1]} columns"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("exogenous values must be finite")
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "values", vals)
+from .quarterly import Frame, QuarterIndex, _lag_blocks, parse_quarter
 
 
 def freeze_arrays(record) -> None:
@@ -75,7 +52,6 @@ class VarFit:
     exog_lags: int = 0
     exog_coef: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     exog_values: np.ndarray | None = None  # in-sample rows
-    exog_future: np.ndarray | None = None  # rows past the sample end
 
     def __post_init__(self) -> None:
         freeze_arrays(self)
@@ -90,9 +66,6 @@ class VarFit:
         ``irf.orthogonalized_irfs``; a fit's arrays are read-only, so a
         stack built from them stays valid."""
         return {}
-
-    def to_dict(self) -> dict:
-        return to_jsonable(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "VarFit":
@@ -112,22 +85,23 @@ class VarFit:
             if d.get("exog_names")
             else np.zeros((0, 0)),
             exog_values=None if d.get("exog_values") is None else np.array(d["exog_values"]),
-            exog_future=None if d.get("exog_future") is None else np.array(d["exog_future"]),
         )
-
-
-def _exog_features(values: np.ndarray, rows: Sequence[int], lags: int) -> np.ndarray:
-    return np.hstack([values[[t - j for t in rows]] for j in range(lags + 1)])
 
 
 def fit_var(
     frame: Frame,
     p: int,
-    exog: ExogenousBlock | None = None,
+    exog: Frame | None = None,
     exog_lags: int = 0,
 ) -> VarFit:
     """Stacked-regression least squares of X_t on a constant, p own lags,
-    and (optionally) contemporaneous-plus-lagged exogenous values."""
+    and (optionally) the exogenous values Z_t .. Z_{t-exog_lags}.
+
+    ``exog`` is a ``Frame`` that starts at ``frame.start`` and covers every
+    sample row, or ``CoverageError`` is raised. Rows it holds past the
+    sample end are not read: future exogenous values reach a forecast only
+    through the ``exog_path`` of ``forecast_var``.
+    """
     if p < 1:
         raise DomainError(f"lag order must be >= 1, got {p}")
     k = frame.n_columns
@@ -140,11 +114,16 @@ def fit_var(
     if exog is not None:
         if not 0 <= exog_lags <= p:
             raise DomainError(f"exog_lags must be in 0..{p}, got {exog_lags}")
-        if exog.values.shape[0] < t:
+        if exog.start != frame.start or len(exog) < t:
             raise CoverageError(
-                f"exogenous block covers {exog.values.shape[0]} rows, sample needs {t}"
+                f"exogenous frame spans {exog.start}..{exog.end}, "
+                f"sample needs {frame.start}..{frame.end}"
             )
-        features = _exog_features(exog.values, range(p, t), exog_lags)
+        # Z over rows p-q..T-1, so lag 0 is its last T-p rows and lags 1..q
+        # are its lag blocks; a sample of at most p rows takes none and is
+        # rejected below
+        rows = exog.values[p - exog_lags : t] if t_eff > 0 else exog.values[:0]
+        features = np.hstack([rows[exog_lags:], *_lag_blocks(rows, exog_lags)])
         # an identically-zero exogenous column is unidentified; estimate the
         # rest and pin its coefficient at zero
         active = np.any(features != 0.0, axis=0)
@@ -155,11 +134,10 @@ def fit_var(
             + (f" and {n_active} exogenous terms" if n_active else "")
         )
 
-    design_parts = [np.ones((t_eff, 1)), lag_matrix(frame, p)]
+    design = [np.ones((t_eff, 1)), *_lag_blocks(frame.values, p)]
     if features is not None:
-        design_parts.append(features[:, active])
-    design = np.hstack(design_parts)
-    fit = ols(frame.values[p:], design)
+        design.append(features[:, active])
+    fit = ols(frame.values[p:], np.hstack(design))
 
     coef = fit.coefficients
     const = coef[0]
@@ -184,7 +162,6 @@ def fit_var(
         exog_lags=exog_lags if exog is not None else 0,
         exog_coef=exog_coef,
         exog_values=exog.values[:t].copy() if exog is not None else None,
-        exog_future=exog.values[t:].copy() if exog is not None else None,
     )
 
 
@@ -208,39 +185,36 @@ def stability_moduli(fit: VarFit) -> np.ndarray:
 def forecast_var(
     fit: VarFit,
     horizon: int,
-    exog_path: np.ndarray | None = None,
+    exog_path: Frame | None = None,
 ) -> Frame:
     """Dynamic point forecasts: each step feeds prior forecasts back as lags.
 
-    If the fit has an exogenous block, future values are taken from
-    ``exog_path`` (rows x n_exog) or, when omitted, from the surplus rows
-    the block carried past the sample end.
+    A fit with an exogenous block takes its future values from
+    ``exog_path`` alone: a ``Frame`` that holds the fit's exogenous names
+    and starts at the first forecast quarter (one after the sample end),
+    with at least ``horizon`` rows. A path that starts on another quarter
+    or is too short raises ``CoverageError``, one that lacks a name
+    ``MissingColumnError``. Lagged exogenous terms of the first steps read
+    the fit's last in-sample exogenous rows.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     k = fit.n_vars
+    start = fit.sample_start.shift(fit.n_sample)
 
     exog_feats = None
     if fit.exog_names:
-        future = exog_path if exog_path is not None else fit.exog_future
-        future = None if future is None else np.asarray(future, dtype=float)
-        if future is not None and future.ndim == 1:
-            future = future.reshape(-1, 1)
-        if future is None or future.shape[0] < horizon:
-            have = 0 if future is None else future.shape[0]
+        if exog_path is None or exog_path.start != start or len(exog_path) < horizon:
+            spans = "none" if exog_path is None else f"{exog_path.start}..{exog_path.end}"
             raise CoverageError(
-                f"exogenous path covers {have} of {horizon} forecast steps"
-            )
-        if future.shape[1] != len(fit.exog_names):
-            raise CoverageError(
-                f"exogenous path has {future.shape[1]} columns, fit expects {len(fit.exog_names)}"
+                f"exogenous path spans {spans}, forecast needs {start}..{start.shift(horizon - 1)}"
             )
         lags = fit.exog_lags
-        past_tail = (
-            fit.exog_values[-lags:] if lags > 0 else np.zeros((0, future.shape[1]))
-        )
+        rows = exog_path.select(fit.exog_names).values[:horizon]
+        if lags:
+            rows = np.vstack([fit.exog_values[-lags:], rows])
         # row h holds step h's features, laid out as in the fit's design
-        exog_feats = _exog_features(np.vstack([past_tail, future]), range(lags, lags + horizon), lags)
+        exog_feats = np.hstack([rows[lags:], *_lag_blocks(rows, lags)])
     elif exog_path is not None:
         raise CoverageError("fit has no exogenous block but an exogenous path was given")
 
@@ -255,4 +229,4 @@ def forecast_var(
         out[h] = x
         history.append(x)
 
-    return Frame(fit.sample_start.shift(fit.n_sample), fit.names, out)
+    return Frame(start, fit.names, out)

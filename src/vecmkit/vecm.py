@@ -33,7 +33,7 @@ from .errors import (
 )
 from .formatting import to_jsonable
 from .numerics import cholesky_lower, generalized_symmetric_eigen, ols
-from .quarterly import Frame, QuarterIndex, parse_quarter
+from .quarterly import Frame, QuarterIndex, _lag_blocks, parse_quarter
 from .var import VarFit, forecast_var, freeze_arrays
 
 # 5% critical values for the trace statistic, unrestricted-constant case,
@@ -103,12 +103,8 @@ def _regressors(frame: Frame, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             f"{t} rows are too few for the rank machinery with {n_vars} variables "
             f"and {k} lags"
         )
-    t_eff = t - k
     dx = np.diff(frame.values, axis=0)
-    z2 = np.empty((t_eff, 1 + n_vars * (k - 1)))
-    z2[:, 0] = 1.0
-    for j in range(1, k):  # lag j of dX_t, the layout of lag_matrix
-        z2[:, 1 + n_vars * (j - 1) : 1 + n_vars * j] = dx[k - 1 - j : t - 1 - j]
+    z2 = np.hstack([np.ones((t - k, 1)), *_lag_blocks(dx, k - 1)])
     return dx[k - 1 :], frame.values[k - 1 : t - 1], z2
 
 

@@ -79,7 +79,7 @@ class TestLagOrderSelection:
         report = lag_order_selection(panel69, 4)
         targets = panel69.values[4:]
         ones = np.ones((report.t_eff, 1))
-        lags = vk.lag_matrix(panel69, 4)
+        lags = vk.lag_matrix(panel69.values, 4)
         for row in report.rows:
             design = np.hstack([ones, lags[:, : 6 * row.lag]])
             assert row.log_likelihood == pytest.approx(
@@ -233,6 +233,16 @@ class TestAdf:
         # y_{t-1}, the constant dy lags and the constant are collinear
         with pytest.raises(SingularDesignError):
             adf_test(2.0 + 0.5 * np.arange(40.0), 2, spec)
+
+    @pytest.mark.parametrize(
+        "y, spec",
+        [(np.arange(1.0, 41.0), "constant"), (np.arange(1.0, 41.0) ** 2, "constant+trend")],
+    )
+    def test_exact_fit_is_degenerate(self, y, spec):
+        # the deterministic terms fit the differences exactly, so the
+        # residuals are rounding and the statistic would be noise
+        with pytest.raises(DegenerateInputError, match="exact fit"):
+            adf_test(y, 0, spec)
 
     def test_critical_value_table_shape(self):
         for spec, (one, five, ten) in ADF_CRITICAL_VALUES.items():

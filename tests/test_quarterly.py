@@ -216,28 +216,57 @@ class TestFirstDifference:
 
 class TestLagMatrix:
     def test_single_lag_alignment(self):
-        frame = make_frame([1.0, 2.0, 3.0])
-        block = lag_matrix(frame, 1)
+        values = np.array([[1.0], [2.0], [3.0]])
+        block = lag_matrix(values, 1)
         np.testing.assert_array_equal(block[:, 0], [1.0, 2.0])
-        np.testing.assert_array_equal(frame.values[1:, 0], [2.0, 3.0])
+        np.testing.assert_array_equal(values[1:, 0], [2.0, 3.0])
 
     def test_usable_row_count(self):
-        assert lag_matrix(make_frame([1.0, 2.0, 3.0]), 2).shape == (1, 2)
+        assert lag_matrix(np.array([[1.0], [2.0], [3.0]]), 2).shape == (1, 2)
 
     def test_reference_counting(self, panel69):
-        assert lag_matrix(panel69, 4).shape == (65, 24)
+        assert lag_matrix(panel69.values, 4).shape == (65, 24)
 
     def test_row_t_of_lag_j(self, panel69):
-        block = lag_matrix(panel69, 3)
+        block = lag_matrix(panel69.values, 3)
         k = panel69.n_columns
         for j in (1, 2, 3):
             np.testing.assert_array_equal(
                 block[:, (j - 1) * k : j * k], panel69.values[3 - j : 69 - j]
             )
 
+    @given(
+        t=st.integers(1, 12),
+        k=st.integers(1, 4),
+        p=st.integers(0, 11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entry_is_value_p_plus_i_minus_j(self, t, k, p, seed):
+        values = np.random.default_rng(seed).standard_normal((t, k))
+        if p >= t:
+            with pytest.raises(InsufficientDataError):
+                lag_matrix(values, p)
+            return
+        block = lag_matrix(values, p)
+        assert block.shape == (t - p, k * p)
+        for i in range(t - p):
+            for j in range(1, p + 1):
+                for v in range(k):
+                    assert block[i, (j - 1) * k + v] == values[p + i - j, v]
+
+    def test_zero_lags_give_an_empty_block(self, panel69):
+        assert lag_matrix(panel69.values, 0).shape == (69, 0)
+
     def test_too_many_lags(self):
         with pytest.raises(InsufficientDataError):
-            lag_matrix(make_frame([1.0, 2.0]), 2)
+            lag_matrix(np.array([[1.0], [2.0]]), 2)
+
+    @pytest.mark.parametrize(
+        "values, p", [(make_frame([1.0, 2.0, 3.0]), 1), (np.ones(5), 1), (np.ones((5, 2)), -1)]
+    )
+    def test_rejects_a_frame_a_vector_and_negative_lags(self, values, p):
+        with pytest.raises(DomainError):
+            lag_matrix(values, p)
 
 
 class TestSummaryStats:

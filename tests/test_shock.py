@@ -300,11 +300,12 @@ class TestExogLags:
 
         baseline = vk.forecast_vecm(vk.fit_vecm(panel69, 2, 2), 20)
         spliced = np.concatenate([panel69.column(target), baseline.column(target) * 1.15])
-        block = vk.ExogenousBlock((target,), np.diff(spliced).reshape(-1, 1))
-        fit2 = vk.fit_var(
-            vk.first_difference(panel69).drop(target), 3, exog=block, exog_lags=exog_lags
-        )
-        assert result.stage2_forecast == vk.forecast_var(fit2, 20)
+        d_frame = vk.first_difference(panel69)
+        d_spliced = np.diff(spliced)[:, None]
+        block = vk.Frame(d_frame.start, (target,), d_spliced)
+        path = vk.Frame(panel69.end.next(), (target,), d_spliced[len(d_frame) :])
+        fit2 = vk.fit_var(d_frame.drop(target), 3, exog=block, exog_lags=exog_lags)
+        assert result.stage2_forecast == vk.forecast_var(fit2, 20, exog_path=path)
 
     def test_stage2_failure_raises_every_time(self, panel69):
         # AIC picks p=1 on this panel, so exog_lags=2 fails only in stage 2

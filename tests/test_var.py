@@ -3,17 +3,22 @@ import pytest
 
 import vecmkit as vk
 from vecmkit import (
-    ExogenousBlock,
     VarFit,
     companion_matrix,
     fit_var,
     forecast_var,
     stability_moduli,
 )
-from vecmkit.errors import CoverageError, InsufficientDataError
+from vecmkit.errors import CoverageError, InsufficientDataError, MissingColumnError
+from vecmkit.formatting import to_jsonable
 from vecmkit.numerics import ols
 
 from conftest import make_frame, random_stable_var1, simulate_var
+
+
+def z_frame(values, start="2001Q1"):
+    """One exogenous column named z, from ``start`` (a label or quarter)."""
+    return make_frame(values, start=str(start), names=("z",))
 
 
 def scalar_fit(a, c=0.0, last=1.0, sigma=1.0, p=1, coefs=None):
@@ -78,7 +83,7 @@ class TestFitVar:
         )
         frame = make_frame(data, names=("a", "b"))
         plain = fit_var(frame, 1)
-        with_zero = fit_var(frame, 1, exog=ExogenousBlock(("z",), np.zeros((120, 1))))
+        with_zero = fit_var(frame, 1, exog=z_frame(np.zeros((120, 1))))
         np.testing.assert_allclose(
             with_zero.coef_matrices[0], plain.coef_matrices[0], atol=1e-10
         )
@@ -90,12 +95,19 @@ class TestFitVar:
         x = np.zeros((t, 1))
         for s in range(1, t):
             x[s] = 0.5 * x[s - 1] + 2.0 * z[s]
-        fit = fit_var(make_frame(x), 1, exog=ExogenousBlock(("z",), z))
+        fit = fit_var(make_frame(x), 1, exog=z_frame(z))
         assert fit.exog_coef[0, 0] == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("start, rows", [("2000Q4", 61), ("2001Q1", 59)])
+    def test_exog_frame_must_cover_the_sample_from_its_start(self, rng, start, rows):
+        # one quarter early (the rows shift by one), or one row short
+        frame = make_frame(rng.standard_normal((60, 2)))
+        with pytest.raises(CoverageError, match="sample needs 2001Q1..2015Q4"):
+            fit_var(frame, 1, exog=z_frame(rng.standard_normal((rows, 1)), start))
 
     def test_serialization_roundtrip(self, panel69):
         fit = fit_var(panel69, 2)
-        again = VarFit.from_dict(fit.to_dict())
+        again = VarFit.from_dict(to_jsonable(fit))
         np.testing.assert_array_equal(again.coef_matrices[0], fit.coef_matrices[0])
         np.testing.assert_array_equal(again.sigma, fit.sigma)
         assert again.sample_start == fit.sample_start
@@ -120,7 +132,7 @@ class TestReadOnly:
     def test_exog_lags_message_names_p(self, rng):
         frame = make_frame(rng.standard_normal((40, 2)))
         with pytest.raises(vk.DomainError, match=r"exog_lags must be in 0\.\.2, got 3"):
-            fit_var(frame, 2, exog=ExogenousBlock(("z",), rng.standard_normal((40, 1))), exog_lags=3)
+            fit_var(frame, 2, exog=z_frame(rng.standard_normal((40, 1))), exog_lags=3)
 
 
 class TestCompanion:
@@ -235,26 +247,31 @@ class TestForecast:
 
     def test_exog_coverage_required(self, rng):
         t = 60
-        z = rng.standard_normal((t, 1))
+        z = rng.standard_normal((t + 5, 1))  # rows past the sample are not a path
         x = rng.standard_normal((t, 1))
-        fit = fit_var(make_frame(x), 1, exog=ExogenousBlock(("z",), z))
+        fit = fit_var(make_frame(x), 1, exog=z_frame(z))
+        first = fit.sample_start.shift(t)
+        with pytest.raises(CoverageError, match="spans none, forecast needs 2016Q1..2017Q1"):
+            forecast_var(fit, 5)
         with pytest.raises(CoverageError):
-            forecast_var(fit, 5)  # block carried no future rows
-        with pytest.raises(CoverageError):
-            forecast_var(fit, 5, exog_path=np.ones((3, 1)))
-        fc = forecast_var(fit, 5, exog_path=np.zeros((5, 1)))
-        assert len(fc) == 5
+            forecast_var(fit, 5, exog_path=z_frame(np.ones((3, 1)), first))
+        for wrong in (first.shift(-1), first.shift(1)):
+            with pytest.raises(CoverageError):
+                forecast_var(fit, 5, exog_path=z_frame(np.ones((6, 1)), wrong))
+        fc = forecast_var(fit, 5, exog_path=z_frame(np.zeros((5, 1)), first))
+        assert len(fc) == 5 and fc.start == first
 
-    def test_exog_future_rows_used_by_default(self, rng):
-        t, horizon = 60, 6
-        z = rng.standard_normal((t + horizon, 1))
-        x = np.zeros((t, 1))
-        for s in range(1, t):
-            x[s] = 0.3 * x[s - 1] + 1.5 * z[s] + 0.01 * rng.standard_normal()
-        fit = fit_var(make_frame(x), 1, exog=ExogenousBlock(("z",), z))
-        default_path = forecast_var(fit, horizon)
-        explicit = forecast_var(fit, horizon, exog_path=z[t:])
-        np.testing.assert_array_equal(default_path.values, explicit.values)
+    def test_exog_path_must_name_the_fits_columns(self, rng):
+        x = rng.standard_normal((60, 1))
+        fit = fit_var(make_frame(x), 1, exog=z_frame(rng.standard_normal((60, 1))))
+        path = make_frame(np.zeros((5, 1)), start="2016Q1", names=("w",))
+        with pytest.raises(MissingColumnError):
+            forecast_var(fit, 5, exog_path=path)
+
+    def test_path_given_without_exog_block(self, panel69):
+        path = z_frame(np.zeros((4, 1)), panel69.end.next())
+        with pytest.raises(CoverageError, match="no exogenous block"):
+            forecast_var(fit_var(panel69, 2), 4, exog_path=path)
 
 
 class TestExogLags:
@@ -269,7 +286,8 @@ class TestExogLags:
         )
         data[1:] += np.hstack([0.8 * self.z[1 : self.t], -0.5 * self.z[: self.t - 1]])
         self.frame = make_frame(data, names=("a", "b"))
-        self.fit = fit_var(self.frame, 2, exog=ExogenousBlock(("z",), self.z), exog_lags=1)
+        self.fit = fit_var(self.frame, 2, exog=z_frame(self.z), exog_lags=1)
+        self.path = z_frame(self.z[self.t :], self.frame.end.next())
 
     def test_fit_equals_hand_built_design(self):
         p, x, z = 2, self.frame.values, self.z
@@ -303,7 +321,7 @@ class TestExogLags:
             )
             want.append(x)
             history.append(x)
-        got = forecast_var(fit, self.horizon)
+        got = forecast_var(fit, self.horizon, exog_path=self.path)
         assert got.start == self.frame.end.next()
         np.testing.assert_allclose(got.values, np.array(want), rtol=0, atol=1e-12)
 
@@ -320,7 +338,8 @@ class TestTwoExogLags:
         )
         data[2:] += np.hstack([0.7 * self.z[2 : self.t], 0.4 * self.z[: self.t - 2]])
         self.frame = make_frame(data, names=("a", "b"))
-        self.fit = fit_var(self.frame, 2, exog=ExogenousBlock(("z",), self.z), exog_lags=2)
+        self.fit = fit_var(self.frame, 2, exog=z_frame(self.z), exog_lags=2)
+        self.path = z_frame(self.z[self.t :], self.frame.end.next())
 
     def test_fit_equals_hand_built_design(self):
         p, x, z = 2, self.frame.values, self.z
@@ -347,7 +366,11 @@ class TestTwoExogLags:
                 x = x + fit.exog_coef[:, j] * z[t + h - j, 0]
             want.append(x)
             history.append(x)
-        got = forecast_var(fit, self.horizon)
+        got = forecast_var(fit, self.horizon, exog_path=self.path)
         np.testing.assert_allclose(got.values, np.array(want), rtol=0, atol=1e-12)
-        explicit = forecast_var(fit, self.horizon, exog_path=z[t:])
-        np.testing.assert_array_equal(explicit.values, got.values)
+        # the path is read by name, and rows past the horizon are not read
+        extra = np.hstack([np.arange(self.horizon + 3.0)[:, None], np.vstack([z[t:], np.ones((3, 1))])])
+        wider = make_frame(extra, start=str(self.frame.end.next()), names=("w", "z"))
+        np.testing.assert_array_equal(
+            forecast_var(fit, self.horizon, exog_path=wider).values, got.values
+        )

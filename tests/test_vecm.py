@@ -171,8 +171,7 @@ class TestRegressors:
     def test_equal_to_validated_frame_construction(self, panel69, k):
         t = len(panel69)
         d_frame = first_difference(panel69)
-        lags = [lag_matrix(d_frame, k - 1)] if k > 1 else []
-        z2_old = np.hstack([np.ones((t - k, 1)), *lags])
+        z2_old = np.hstack([np.ones((t - k, 1)), lag_matrix(d_frame.values, k - 1)])
         z0, z1, z2 = _regressors(panel69, k)
         assert z0.tobytes() == d_frame.values[k - 1 :].tobytes()
         assert z1.tobytes() == panel69.values[k - 1 : t - 1].tobytes()

@@ -45,7 +45,6 @@ from .quarterly import (
 )
 from .formatting import write_frame
 from .numerics import (
-    GeneralizedEigenResult,
     OlsFit,
     chi_square_sf,
     cholesky_lower,

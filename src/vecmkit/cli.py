@@ -13,6 +13,10 @@ and marks. A handler builds one row list from the result record, writes it
 as CSV and prints it (or a column selection of it) through ``_table``, which
 shows reals at 6 significant digits and None as blank, so a table cannot
 drift from its CSV. The library's result records carry no text layout.
+Each JSON artifact is ``to_jsonable`` of a result record plus only what is
+not one of its fields: ``selected_rank`` in ``johansen.json``, the string
+keys of the ADF critical values, and the shock pipeline's scenario in its
+audit.
 
 Two tables drive it. ``_TYPES`` gives every config key's accepted type (a
 nested dict is a block such as ``shock``); it validates config files and
@@ -41,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import adf_test, lag_order_selection, lm_autocorrelation, normality_suite, vecm_stability
-from .errors import ConfigError, MissingColumnError, VecmkitError
+from .errors import ConfigError, MissingColumnError, NonNumericCellError, VecmkitError
 from .formatting import format_table, sig6, to_jsonable, write_csv, write_frame, write_json
 from .irf import orthogonalized_irfs
 from .quarterly import DEFAULT_SCHEMA, Frame, load_frame, location_quotient, parse_quarter, summary_stats
@@ -234,7 +238,14 @@ def _cmd_adf(run: _Run) -> None:
         ["variable", "statistic", "5% critical value", "reject unit root"],
         [[n, stat, cv5, "yes" if reject else "no"] for n, stat, _, cv5, _, reject in rows],
     )
-    run.json("adf.json", {n: r.to_dict() for n, r in results.items()})
+    # string keys, so the critical values sort as "1", "10", "5"
+    run.json(
+        "adf.json",
+        {
+            n: {**to_jsonable(r), "critical_values": {str(k): v for k, v in r.critical_values.items()}}
+            for n, r in results.items()
+        },
+    )
     run.csv("adf.csv", ["variable", "statistic", "cv_1pct", "cv_5pct", "cv_10pct", "reject_5pct"], rows)
 
 
@@ -262,18 +273,18 @@ def _cmd_johansen(run: _Run) -> None:
             r,
             result.eigenvalues[r - 1] if r >= 1 else "",
             result.trace_stats[r] if r < n else "",
-            result.critical_values[r] if r < n else "",
+            result.critical_values_5pct[r] if r < n else "",
             "*" if r == selected else "",
         ]
         for r in range(n + 1)
     ]
     _table(
         f"Trace test for cointegration rank "
-        f"(T_eff={result.t_eff}, lags={result.k}, trend: {result.deterministic})",
+        f"(T_eff={result.t_eff}, lags={result.lags}, trend: {result.deterministic})",
         ["rank", "eigenvalue", "trace statistic", "5% critical value", ""],
         rows,
     )
-    run.json("johansen.json", result.to_dict())
+    run.json("johansen.json", {**to_jsonable(result), "selected_rank": selected})
     run.csv("johansen.csv", ["rank", "eigenvalue", "trace_stat", "cv_5pct", "selected"], rows)
 
 
@@ -282,11 +293,11 @@ def _cmd_fit_vec(run: _Run) -> None:
     r = fit.rank
     rows = [[name, *fit.beta[i], *fit.alpha[i]] for i, name in enumerate(fit.names)]
     _table(
-        f"Cointegrating vectors (lags={fit.k}, rank={r}, residual rows={fit.residuals.shape[0]})",
+        f"Cointegrating vectors (lags={fit.lags}, rank={r}, residual rows={fit.residuals.shape[0]})",
         ["variable", *[f"relation {j + 1}" for j in range(r)]],
         [row[: 1 + r] for row in rows],
     )
-    run.json("vecm_fit.json", fit.to_dict())
+    run.json("vecm_fit.json", to_jsonable(fit))
     run.csv(
         "cointegration.csv",
         ["variable", *[f"beta_{j + 1}" for j in range(r)], *[f"alpha_{j + 1}" for j in range(r)]],
@@ -339,14 +350,13 @@ def _cmd_irf(run: _Run) -> None:
     fit = vecm_to_levels_var(run.fit())
     impulse = config.impulse or run.frame.names[0]
     responses = [config.response] if config.response else None
-    payload = {}
-    for response, irf in orthogonalized_irfs(fit, config.horizon, impulse, responses).items():
-        payload[response] = irf.to_dict()
-        rows = irf.csv_rows()
+    irfs = orthogonalized_irfs(fit, config.horizon, impulse, responses)
+    for response, irf in irfs.items():
+        rows = list(enumerate(irf.values.tolist()))
         run.csv(f"irf_{impulse}_{response}.csv", ["step", "response"], rows)
         _table(f"Orthogonalized IRF: {impulse} -> {response}", ["step", "response"], rows)
         print()
-    run.json("irf.json", payload)
+    run.json("irf.json", to_jsonable(irfs))
 
 
 def _cmd_forecast(run: _Run) -> None:
@@ -402,7 +412,7 @@ def _cmd_shock(run: _Run) -> None:
         exog_lags=shock["exog_lags"],
     )
     result = run_three_stage(frame, scenario)
-    run.pipeline = result.audit
+    run.pipeline = {"scenario": to_jsonable(result.scenario), **result.audit}
 
     shocked = result.shocked_path
     run.frame_csv("stage1_forecast.csv", result.stage1_forecast)
@@ -410,7 +420,7 @@ def _cmd_shock(run: _Run) -> None:
     run.frame_csv("stage2_forecast.csv", result.stage2_forecast)
     run.json("stage3_model.json", to_jsonable(result.stage3_fit))
     for name, irf in result.irfs.items():
-        run.csv(f"irf_{scenario.target}_{name}.csv", ["step", "response"], irf.csv_rows())
+        run.csv(f"irf_{scenario.target}_{name}.csv", ["step", "response"], enumerate(irf.values.tolist()))
     _table(
         f"Shock pipeline: {scenario.target} x{scenario.factor} from {scenario.start} (differenced-scale IRFs)",
         ["response", "impact (step 0)", "step 4"],
@@ -432,7 +442,17 @@ def _cmd_lq(run: _Run) -> None:
             rows = []
             for record in reader:
                 label = record.get("label") or record.get("year") or record.get("quarter") or str(len(rows))
-                rows.append([label, location_quotient(*(float(record[c]) for c in _LQ_INPUTS))])
+                inputs = []
+                for col in _LQ_INPUTS:
+                    cell = record[col]  # None when the row is short
+                    try:
+                        inputs.append(float(cell))
+                    except (TypeError, ValueError):
+                        problem = "missing cell" if cell is None else f"non-numeric cell {cell!r}"
+                        raise NonNumericCellError(
+                            f"{path}: row {reader.line_num}, column {col!r}: {problem}"
+                        ) from None
+                rows.append([label, location_quotient(*inputs)])
         _table("Location quotients", ["label", "lq"], rows)
         run.csv("lq.csv", ["label", "lq"], rows)
         run.json("lq.json", {"rows": [{"label": l, "lq": v} for l, v in rows]})

@@ -317,20 +317,7 @@ class AdfResult:
     spec: str
     critical_values: dict  # {1: cv, 5: cv, 10: cv}
     nobs: int
-
-    @property
-    def reject_5pct(self) -> bool:
-        return self.statistic < self.critical_values[5]
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "lags": self.lags,
-            "spec": self.spec,
-            "critical_values": {str(k): v for k, v in self.critical_values.items()},
-            "nobs": self.nobs,
-            "reject_5pct": self.reject_5pct,
-        }
+    reject_5pct: bool  # statistic below the 5% critical value
 
 
 def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
@@ -385,6 +372,7 @@ def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
         spec=spec,
         critical_values={1: one, 5: five, 10: ten},
         nobs=n,
+        reject_5pct=stat < five,
     )
 
 

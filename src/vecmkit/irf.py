@@ -41,28 +41,15 @@ def ma_coefficients(fit: VarFit, horizon: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class IrfResult:
-    """One impulse-response path plus the full K x K response matrices
-    (Phi_h P, read-only and shared with the fit) retained for audit."""
+    """One impulse-response path: the response of ``response`` to a
+    one-standard-deviation orthogonalized shock in ``impulse`` at steps
+    0..horizon, under the Cholesky ordering ``ordering``."""
 
     horizon: int
     impulse: str
     response: str
     values: np.ndarray  # (horizon + 1,)
     ordering: tuple[str, ...]
-    matrices: np.ndarray  # (horizon + 1) x K x K
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "impulse": self.impulse,
-            "response": self.response,
-            "values": self.values.tolist(),
-            "ordering": list(self.ordering),
-        }
-
-    def csv_rows(self) -> list[tuple[int, float]]:
-        """(step, response) pairs, ready for two-column plot output."""
-        return [(h, float(v)) for h, v in enumerate(self.values)]
 
 
 def _orthogonalized_stack(fit: VarFit, horizon: int) -> np.ndarray:
@@ -85,8 +72,7 @@ def orthogonalized_irfs(
     one-standard-deviation orthogonalized shock in ``impulse``.
 
     The Cholesky factor and the MA stack are built on the first call for
-    this fit and horizon and sliced per response; every result shares the
-    one read-only stack as its ``matrices``.
+    this fit and horizon, kept on the fit, and sliced per response.
     """
     responses = fit.names if responses is None else tuple(responses)
     for label, names in (("impulse", (impulse,)), ("response", responses)):
@@ -102,7 +88,6 @@ def orthogonalized_irfs(
             response=response,
             values=mats[:, fit.names.index(response), i].copy(),
             ordering=fit.names,
-            matrices=mats,
         )
         for response in responses
     }

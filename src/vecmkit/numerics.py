@@ -20,7 +20,6 @@ pivot. Symmetry is checked at 1e-8 relative tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -197,20 +196,13 @@ def _cholesky_pivots(a: np.ndarray) -> np.ndarray:
     return lower
 
 
-@dataclass(frozen=True)
-class GeneralizedEigenResult:
-    """Solution of A v = lambda B v, eigenvalues descending, columns aligned."""
-
-    eigenvalues: np.ndarray  # (n,)
-    eigenvectors: np.ndarray  # n x n
-
-
-def generalized_symmetric_eigen(a, b) -> GeneralizedEigenResult:
+def generalized_symmetric_eigen(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Solve A v = lambda B v for symmetric A and SPD B.
 
     B is reduced through its Cholesky factor to a standard symmetric
-    eigenproblem, which guarantees real eigenvalues; they are returned in
-    descending order with column-aligned eigenvectors.
+    eigenproblem, which guarantees real eigenvalues. Returns
+    ``(eigenvalues, eigenvectors)``: the eigenvalues in descending order and
+    the n x n eigenvectors as columns aligned with them.
     """
     a = _require_symmetric(_as_matrix(a, "A"), "A")
     b = _as_matrix(b, "B")
@@ -225,7 +217,7 @@ def generalized_symmetric_eigen(a, b) -> GeneralizedEigenResult:
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = np.linalg.solve(lower.T, vecs[:, order])
-    return GeneralizedEigenResult(eigenvalues=vals, eigenvectors=vecs)
+    return vals, vecs
 
 
 def log_det(a) -> float:

@@ -236,6 +236,8 @@ def _parse_frame_csv(fh, schema: Sequence[str], source: str) -> Frame:
         quarters.append(q)
         parsed = []
         for name in schema:
+            if positions[name] >= len(row):
+                raise NonNumericCellError(f"{source}: row {lineno}, column {name!r}: missing cell")
             cell = row[positions[name]].strip()
             try:
                 value = float(cell)
@@ -360,9 +362,12 @@ def location_quotient(
 ) -> float:
     """Regional industry employment share over the national share.
 
-    Values above 1 mark regional specialization in the industry.
+    Values above 1 mark regional specialization in the industry. Every
+    input must be finite and positive, or ``DomainError`` is raised.
     """
     inputs = (industry_region, employment_region, industry_nation, employment_nation)
+    if not all(map(math.isfinite, inputs)):
+        raise DomainError(f"location quotient needs finite inputs, got {inputs}")
     if any(x <= 0 for x in inputs):
         raise DomainError(f"location quotient needs positive inputs, got {inputs}")
     return (industry_region / employment_region) / (industry_nation / employment_nation)

@@ -27,6 +27,7 @@ starting at the first forecast quarter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -41,13 +42,19 @@ from .errors import (
     PipelineStageError,
     VecmkitError,
 )
-from .formatting import to_jsonable
 from .irf import IrfResult, orthogonalized_irfs
 from .quarterly import Frame, QuarterIndex, Series, first_difference
 from .var import VarFit, fit_var, forecast_var
 from .vecm import fit_vecm, forecast_vecm
 
 DEFAULT_LAG_SEARCH = 4
+
+
+def _require_factor(factor: float) -> None:
+    if not math.isfinite(factor):
+        raise DomainError(f"shock factor must be finite, got {factor}")
+    if factor <= 0:
+        raise DomainError(f"shock factor must be positive, got {factor}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +72,7 @@ class ShockScenario:
     exog_lags: int = 0
 
     def __post_init__(self) -> None:
-        if self.factor <= 0:
-            raise DomainError(f"shock factor must be positive, got {self.factor}")
+        _require_factor(self.factor)
         if self.horizon < 1:
             raise DomainError(f"horizon must be >= 1, got {self.horizon}")
         if self.exog_lags < 0:
@@ -80,7 +86,8 @@ class ShockScenario:
 @dataclass(frozen=True)
 class PipelineResult:
     """Everything the three stages produced, plus an audit log proving each
-    intermediate sample range and row's provenance."""
+    intermediate sample range and row's provenance (the scenario it ran is
+    the ``scenario`` field, not repeated in the log)."""
 
     scenario: ShockScenario
     stage1_forecast: Frame  # levels
@@ -94,10 +101,9 @@ class PipelineResult:
 def apply_multiplicative_shock(
     path: Series, factor: float, start: QuarterIndex
 ) -> Series:
-    """Multiply values at or after ``start`` by ``factor``; earlier values
-    are returned unchanged."""
-    if factor <= 0:
-        raise DomainError(f"shock factor must be positive, got {factor}")
+    """Multiply values at or after ``start`` by ``factor``, which must be
+    positive and finite; earlier values are returned unchanged."""
+    _require_factor(factor)
     offset = path.start.distance(start)
     if not 0 <= offset < len(path):
         raise OutOfRangeError(
@@ -228,7 +234,6 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
     irfs = _stage(3, orthogonalized_irfs, fit3, horizon, target)
 
     audit = {
-        "scenario": to_jsonable(scenario),
         "lag_order_source": stages.lag_source,
         "stage1": {
             "scale": "levels",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CoverageError, DomainError, InsufficientDataError
 from .numerics import eigen_moduli, ols
-from .quarterly import Frame, QuarterIndex, _lag_blocks, parse_quarter
+from .quarterly import Frame, QuarterIndex, _lag_blocks
 
 
 def freeze_arrays(record) -> None:
@@ -66,26 +66,6 @@ class VarFit:
         ``irf.orthogonalized_irfs``; a fit's arrays are read-only, so a
         stack built from them stays valid."""
         return {}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VarFit":
-        return cls(
-            p=int(d["p"]),
-            names=tuple(d["names"]),
-            coef_matrices=tuple(np.array(a) for a in d["coef_matrices"]),
-            const=np.array(d["const"]),
-            residuals=np.array(d["residuals"]),
-            sigma=np.array(d["sigma"]),
-            sample_start=parse_quarter(d["sample_start"]),
-            n_sample=int(d["n_sample"]),
-            tail=np.array(d["tail"]),
-            exog_names=tuple(d.get("exog_names", ())),
-            exog_lags=int(d.get("exog_lags", 0)),
-            exog_coef=np.array(d.get("exog_coef", [])).reshape(len(d["names"]), -1)
-            if d.get("exog_names")
-            else np.zeros((0, 0)),
-            exog_values=None if d.get("exog_values") is None else np.array(d["exog_values"]),
-        )
 
 
 def fit_var(

@@ -31,9 +31,8 @@ from .errors import (
     RankError,
     SingularDesignError,
 )
-from .formatting import to_jsonable
 from .numerics import cholesky_lower, generalized_symmetric_eigen, ols
-from .quarterly import Frame, QuarterIndex, _lag_blocks, parse_quarter
+from .quarterly import Frame, QuarterIndex, _lag_blocks
 from .var import VarFit, forecast_var, freeze_arrays
 
 # 5% critical values for the trace statistic, unrestricted-constant case,
@@ -76,19 +75,14 @@ class JohansenResult:
     names: tuple[str, ...]
     eigenvalues: np.ndarray
     trace_stats: np.ndarray
-    critical_values: np.ndarray
+    critical_values_5pct: np.ndarray
     t_eff: int
-    k: int
+    lags: int
     deterministic: str = "constant"
 
     @property
     def n_vars(self) -> int:
         return len(self.names)
-
-    def to_dict(self) -> dict:
-        d = to_jsonable(self)
-        d["lags"], d["critical_values_5pct"] = d.pop("k"), d.pop("critical_values")
-        return {**d, "selected_rank": select_rank(self)}
 
 
 def _regressors(frame: Frame, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,11 +127,11 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
     except NotPositiveDefiniteError as exc:
         raise SingularDesignError(f"S00 is singular (pivot {exc.pivot})") from exc
     w = np.linalg.solve(l00, s01)  # so that S10 S00^-1 S01 = W'W
-    eig = generalized_symmetric_eigen(w.T @ w, s11)
-    lam = np.clip(eig.eigenvalues, 0.0, _EIGENVALUE_CEIL)
-    for shared in (lam, eig.eigenvectors):
+    lam, vectors = generalized_symmetric_eigen(w.T @ w, s11)
+    lam = np.clip(lam, 0.0, _EIGENVALUE_CEIL)
+    for shared in (lam, vectors):
         shared.setflags(write=False)
-    return _Concentration(lam, eig.eigenvectors, t_eff)
+    return _Concentration(lam, vectors, t_eff)
 
 
 @lru_cache(maxsize=1)
@@ -166,9 +160,9 @@ def johansen_trace(frame: Frame, k: int) -> JohansenResult:
         names=frame.names,
         eigenvalues=lam,
         trace_stats=stats,
-        critical_values=crit,
+        critical_values_5pct=crit,
         t_eff=t_eff,
-        k=k,
+        lags=k,
     )
 
 
@@ -177,7 +171,7 @@ def select_rank(result: JohansenResult) -> int:
     K when every candidate rank is rejected."""
     n_vars = result.n_vars
     for r in range(n_vars):
-        if result.trace_stats[r] < result.critical_values[r]:
+        if result.trace_stats[r] < result.critical_values_5pct[r]:
             return r
     return n_vars
 
@@ -194,16 +188,16 @@ class VecmFit:
 
     rank: int
     names: tuple[str, ...]
-    k: int
+    lags: int
     alpha: np.ndarray  # K x r
     beta: np.ndarray  # K x r, normalized
-    gammas: tuple[np.ndarray, ...]  # k-1 matrices, K x K
+    gammas: tuple[np.ndarray, ...]  # lags - 1 matrices, K x K
     const: np.ndarray  # (K,)
     residuals: np.ndarray  # T_eff x K
     sigma: np.ndarray  # K x K
     sample_start: QuarterIndex
     n_sample: int
-    tail: np.ndarray  # k x K, last levels rows
+    tail: np.ndarray  # lags x K, last levels rows
     beta_pivot: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -217,30 +211,6 @@ class VecmFit:
     def pi(self) -> np.ndarray:
         """Long-run matrix alpha @ beta'."""
         return self.alpha @ self.beta.T
-
-    def to_dict(self) -> dict:
-        d = to_jsonable(self)
-        d["lags"] = d.pop("k")
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VecmFit":
-        names = tuple(d["names"])
-        return cls(
-            rank=int(d["rank"]),
-            names=names,
-            k=int(d["lags"]),
-            alpha=np.array(d["alpha"]).reshape(len(names), -1),
-            beta=np.array(d["beta"]).reshape(len(names), -1),
-            gammas=tuple(np.array(g) for g in d["gammas"]),
-            const=np.array(d["const"]),
-            residuals=np.array(d["residuals"]),
-            sigma=np.array(d["sigma"]),
-            sample_start=parse_quarter(d["sample_start"]),
-            n_sample=int(d["n_sample"]),
-            tail=np.array(d["tail"]),
-            beta_pivot=tuple(d.get("beta_pivot", ())),
-        )
 
 
 def _first_independent_rows(beta: np.ndarray, r: int) -> tuple[int, ...]:
@@ -287,7 +257,7 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
     return VecmFit(
         rank=r,
         names=frame.names,
-        k=k,
+        lags=k,
         alpha=alpha,
         beta=beta,
         gammas=gammas,
@@ -305,7 +275,7 @@ def vecm_to_levels_var(fit: VecmFit) -> VarFit:
     """Algebraically identical levels VAR(k): A_1 = Pi + I + Gamma_1,
     A_i = Gamma_i - Gamma_{i-1} for 1 < i < k, A_k = -Gamma_{k-1}."""
     n_vars = fit.n_vars
-    k = fit.k
+    k = fit.lags
     pi = fit.pi
     eye = np.eye(n_vars)
     if k == 1:

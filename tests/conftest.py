@@ -77,7 +77,7 @@ def well_specified_vecm_fit(rng, k, r, n_gammas=1, start="2001Q1"):
     return vk.VecmFit(
         rank=r,
         names=tuple(f"x{i + 1}" for i in range(k)),
-        k=lags,
+        lags=lags,
         alpha=alpha,
         beta=beta,
         gammas=gammas,

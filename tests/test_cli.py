@@ -8,6 +8,7 @@ import pytest
 import vecmkit as vk
 from vecmkit.cli import RunConfig, execute, main, parse_config
 from vecmkit.errors import ConfigError
+from vecmkit.formatting import from_jsonable, to_jsonable
 
 from conftest import cointegrated_panel
 
@@ -23,6 +24,9 @@ def run_cli(*argv, expect=0, capsys=None):
     code = main(list(argv))
     assert code == expect
     return code
+
+
+LQ_HEADER = "year,industry_region,employment_region,industry_nation,employment_nation\n"
 
 
 class TestParseConfig:
@@ -259,6 +263,10 @@ class TestCommands:
         run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "adf", "--lags", "2")
         payload = json.loads((tmp_path / "out" / "adf.json").read_text())
         assert set(payload) == set(vk.DEFAULT_SCHEMA)
+        # string keys, written in their sorted order
+        assert list(payload["output"]["critical_values"]) == ["1", "10", "5"]
+        for name, record in payload.items():
+            assert record["reject_5pct"] == (record["statistic"] < record["critical_values"]["5"])
 
     def test_lagselect(self, dataset, tmp_path):
         run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "lagselect", "--max-lag", "4")
@@ -280,10 +288,13 @@ class TestCommands:
 
     def test_fit_vec_and_reload(self, dataset, tmp_path):
         run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "fit-vec", "--lags", "4", "--rank", "2")
-        payload = json.loads((tmp_path / "out" / "vecm_fit.json").read_text())
-        fit = vk.VecmFit.from_dict(payload)
-        assert fit.k == 4 and fit.rank == 2
+        text = (tmp_path / "out" / "vecm_fit.json").read_text()
+        fit = from_jsonable(vk.VecmFit, json.loads(text))
+        assert fit.lags == 4 and fit.rank == 2
         assert fit.residuals.shape == (65, 6)
+        original = vk.fit_vecm(vk.load_frame(dataset), 4, 2)
+        assert vk.forecast_vecm(fit, 12).values.tobytes() == vk.forecast_vecm(original, 12).values.tobytes()
+        assert json.dumps(to_jsonable(fit), indent=2, sort_keys=True) + "\n" == text
 
     def test_diagnose(self, dataset, tmp_path):
         run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "diagnose", "--lm-lags", "2")
@@ -355,8 +366,14 @@ class TestCommands:
         assert expected <= {p.name for p in out.iterdir()}
         audit = json.loads((out / "audit.json").read_text())
         assert audit["pipeline"]["stage2"]["rows_used"] == audit["pipeline"]["stage2"]["n_rows"] - audit["pipeline"]["stage2"]["lag_order"]
-        fit = vk.VarFit.from_dict(json.loads((out / "stage3_model.json").read_text()))
+        text = (out / "stage3_model.json").read_text()
+        fit = from_jsonable(vk.VarFit, json.loads(text))
         assert fit.names == vk.DEFAULT_SCHEMA
+        frame = vk.load_frame(dataset)
+        scenario = vk.ShockScenario("exchange_rate", 1.15, frame.end.next(), horizon=12, rank=2)
+        original = vk.run_three_stage(frame, scenario).stage3_fit
+        assert vk.forecast_var(fit, 12).values.tobytes() == vk.forecast_var(original, 12).values.tobytes()
+        assert json.dumps(to_jsonable(fit), indent=2, sort_keys=True) + "\n" == text
 
     def test_shocked_path_has_one_row_per_forecast_quarter(self, dataset, tmp_path):
         run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "shock", "--horizon", "12")
@@ -377,14 +394,42 @@ class TestCommands:
 
     def test_lq_csv(self, tmp_path):
         src = tmp_path / "lq_in.csv"
-        src.write_text(
-            "year,industry_region,employment_region,industry_nation,employment_nation\n"
-            "2001,10,100,1,100\n2002,20,100,1,100\n"
-        )
+        src.write_text(LQ_HEADER + "2001,10,100,1,100\n2002,20,100,1,100\n")
         run_cli("-o", str(tmp_path / "out"), "lq", "--csv", str(src))
         lines = (tmp_path / "out" / "lq.csv").read_text().splitlines()
         assert lines[1].startswith("2001,")
         assert float(lines[2].split(",")[1]) == pytest.approx(20.0)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2002,abc,100,1,100", "row 3, column 'industry_region': non-numeric cell 'abc'"),
+            ("2002,20,,1,100", "row 3, column 'employment_region': non-numeric cell ''"),
+            ("2002,20,100", "row 3, column 'industry_nation': missing cell"),
+        ],
+        ids=["text", "empty", "short"],
+    )
+    def test_lq_csv_bad_cell_names_row_and_column(self, tmp_path, capsys, row, message):
+        src = tmp_path / "lq_in.csv"
+        src.write_text(LQ_HEADER + "2001,10,100,1,100\n" + row + "\n")
+        run_cli("-o", str(tmp_path / "out"), "lq", "--csv", str(src), expect=1)
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "NonNumericCellError", "message": f"{src}: {message}"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_lq_non_finite_input_fails(self, tmp_path, capsys, value):
+        src = tmp_path / "lq_in.csv"
+        src.write_text(LQ_HEADER + f"2001,10,{value},1,100\n")
+        for argv in (
+            ["lq", "--csv", str(src)],
+            ["lq", "--industry-region", "10", f"--employment-region={value}",
+             "--industry-nation", "1", "--employment-nation", "100"],
+        ):
+            out = tmp_path / f"out_{argv[1]}"
+            run_cli("-o", str(out), *argv, expect=1)
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["type"] == "DomainError" and "finite" in err["message"]
+            assert not (out / "lq.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -442,7 +487,126 @@ def test_flags_reach_config_keys(dataset, tmp_path, argv, expected):
     assert audit["artifacts"] == sorted({p.name for p in out.iterdir()} - {"audit.json"})
 
 
+SCHEMA = set(vk.DEFAULT_SCHEMA)
+AUDIT_KEYS = {"command", "versions", "parameters", "dataset_sha256", "artifacts"}
+LQ_FLAGS = ["--industry-region", "10", "--employment-region", "100", "--industry-nation", "1", "--employment-nation", "100"]
+
+
+def reached(payload, path):
+    """The values a dotted key path reaches; ``*`` steps into every value."""
+    nodes = [payload]
+    for part in filter(None, path.split(".")):
+        nodes = [v for node in nodes for v in (node.values() if part == "*" else [node[part]])]
+    return nodes
+
+
+@pytest.mark.parametrize(
+    "argv, artifact, keys",
+    [
+        (["describe"], "describe.json", {"": {"start", "end", "columns"}}),
+        (["describe"], "audit.json", {"": AUDIT_KEYS, "versions": {"vecmkit", "numpy", "python"}}),
+        (
+            ["adf"],
+            "adf.json",
+            {
+                "": SCHEMA,
+                "*": {"statistic", "lags", "spec", "critical_values", "nobs", "reject_5pct"},
+                "*.critical_values": {"1", "5", "10"},
+            },
+        ),
+        (["lagselect"], "lagselect.json", {"": {"rows", "t_eff", "n_vars", "selected"}}),
+        (
+            ["johansen"],
+            "johansen.json",
+            {
+                "": {
+                    "names", "eigenvalues", "trace_stats", "critical_values_5pct",
+                    "t_eff", "lags", "deterministic", "selected_rank",
+                }
+            },
+        ),
+        (
+            ["fit-vec"],
+            "vecm_fit.json",
+            {
+                "": {
+                    "rank", "names", "lags", "alpha", "beta", "gammas", "const", "residuals",
+                    "sigma", "sample_start", "n_sample", "tail", "beta_pivot",
+                }
+            },
+        ),
+        (
+            ["diagnose"],
+            "diagnose.json",
+            {
+                "": {"lm", "normality", "stability"},
+                "normality": {"rows", "n_eff", "joint"},
+                "stability": {"moduli", "unit_count", "expected_unit_count", "passed"},
+            },
+        ),
+        (
+            ["irf"],
+            "irf.json",
+            {"": SCHEMA, "*": {"horizon", "impulse", "response", "values", "ordering"}},
+        ),
+        (["forecast"], "forecast.json", {"": {"start", "names", "values"}}),
+        (["backtest"], "backtest.json", {"": {"holdout", "metrics"}, "metrics": SCHEMA, "metrics.*": {"rmse", "mae"}}),
+        (
+            ["shock"],
+            "stage3_model.json",
+            {
+                "": {
+                    "p", "names", "coef_matrices", "const", "residuals", "sigma", "sample_start",
+                    "n_sample", "tail", "exog_names", "exog_lags", "exog_coef", "exog_values",
+                }
+            },
+        ),
+        (
+            ["shock"],
+            "audit.json",
+            {
+                "": AUDIT_KEYS | {"pipeline"},
+                "pipeline": {"scenario", "lag_order_source", "stage1", "stage2", "stage3"},
+                "pipeline.scenario": {
+                    "target", "factor", "start", "horizon", "vecm_lags", "rank",
+                    "stage2_lags", "stage3_lags", "exog_lags",
+                },
+            },
+        ),
+        (["lq", *LQ_FLAGS], "lq.json", {"": {"lq", "inputs"}, "inputs": {
+            "industry_region", "employment_region", "industry_nation", "employment_nation"}}),
+        (["lq", "--csv", "{lq_csv}"], "lq.json", {"": {"rows"}}),
+    ],
+    ids=[
+        "describe", "audit", "adf", "lagselect", "johansen", "vecm_fit", "diagnose", "irf",
+        "forecast", "backtest", "stage3_model", "shock-audit", "lq", "lq-csv",
+    ],
+)
+def test_artifact_key_sets(dataset, tmp_path, argv, artifact, keys):
+    lq_csv = tmp_path / "lq_in.csv"
+    lq_csv.write_text(LQ_HEADER + "2001,10,100,1,100\n")
+    out = tmp_path / "out"
+    run_cli("--dataset", str(dataset), "-o", str(out), *(a.format(lq_csv=lq_csv) for a in argv))
+    payload = json.loads((out / artifact).read_text())
+    for path, expected in keys.items():
+        nodes = reached(payload, path)
+        assert nodes and all(set(node) == expected for node in nodes), path
+
+
 class TestErrorReporting:
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_non_finite_shock_factor_named(self, dataset, tmp_path, capsys, via):
+        if via == "flag":
+            run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "shock", "--factor", "inf", expect=1)
+            factor = "inf"
+        else:
+            conf = tmp_path / "nan.json"
+            conf.write_text('{"shock": {"factor": NaN}}')  # Python's json reads NaN
+            run_cli("--config", str(conf), "--dataset", str(dataset), "-o", str(tmp_path / "out"), "shock", expect=1)
+            factor = "nan"
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "DomainError", "message": f"shock factor must be finite, got {factor}"}
+
     def test_missing_dataset_is_machine_readable(self, tmp_path, capsys):
         run_cli("-o", str(tmp_path / "out"), "describe", expect=1)
         err = json.loads(capsys.readouterr().err)

@@ -300,7 +300,7 @@ class TestVecmStability:
         fit = vk.VecmFit(
             rank=1,
             names=("a", "b"),
-            k=1,
+            lags=1,
             alpha=np.array([[-0.5], [0.5]]),
             beta=np.array([[1.0], [-1.0]]),
             gammas=(),
@@ -326,7 +326,7 @@ class TestVecmStability:
         fit = vk.VecmFit(
             rank=1,
             names=("a", "b"),
-            k=1,
+            lags=1,
             alpha=np.array([[-2.5], [0.0]]),
             beta=np.array([[1.0], [0.0]]),
             gammas=(),

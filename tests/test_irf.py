@@ -163,11 +163,14 @@ class TestOrthogonalizedIrf:
             orthogonalized_irf(fit, 5, impulse="a", response="b")
 
     def test_full_matrices_retained(self, rng):
+        # the whole Phi_h P stack stays on the fit, not on the result
         sigma = random_spd(rng, 2)
         fit = var_fit([random_stable_var1(rng, 2)], sigma, names=("a", "b"))
         irf = orthogonalized_irf(fit, 7, impulse="b", response="a")
-        assert irf.matrices.shape == (8, 2, 2)
-        np.testing.assert_allclose(irf.matrices[0], np.linalg.cholesky(sigma), atol=1e-12)
+        stack = fit._irf_stacks[7]
+        assert stack.shape == (8, 2, 2)
+        np.testing.assert_allclose(stack[0], np.linalg.cholesky(sigma), atol=1e-12)
+        np.testing.assert_array_equal(irf.values, stack[:, 0, 1])
 
 
 def per_response_oracle(fit, horizon, impulse, response):
@@ -192,7 +195,7 @@ class TestOrthogonalizedIrfs:
             np.testing.assert_array_equal(
                 irf.values, orthogonalized_irf(fit, 9, "b", name).values
             )
-            assert irf.matrices is irfs["a"].matrices
+        assert list(fit._irf_stacks) == [9]
 
     def test_selected_responses_in_given_order(self, rng):
         fit = var_fit([random_stable_var1(rng, 3)], random_spd(rng, 3), names=("a", "b", "c"))
@@ -218,7 +221,7 @@ class TestStackPerFit:
         fresh = var_fit(fit.coef_matrices, fit.sigma, names=fit.names)
         for name, irf in orthogonalized_irfs(fresh, 9, "c").items():
             assert loop[name].values.tobytes() == irf.values.tobytes()
-            assert loop[name].matrices.tobytes() == irf.matrices.tobytes()
+        assert fit._irf_stacks[9].tobytes() == fresh._irf_stacks[9].tobytes()
 
     def test_ma_stack_built_once_per_fit_and_horizon(self, rng, monkeypatch):
         import vecmkit.irf
@@ -240,9 +243,10 @@ class TestStackPerFit:
         assert calls == [(id(fit), 9), (id(fit), 4), (id(other), 9)]
 
     def test_matrices_are_read_only(self, rng):
-        irf = orthogonalized_irf(self.fit3(rng), 5, "a", "b")
+        fit = self.fit3(rng)
+        orthogonalized_irf(fit, 5, "a", "b")
         with pytest.raises(ValueError):
-            irf.matrices[0, 0, 0] = 1.0
+            fit._irf_stacks[5][0, 0, 0] = 1.0
 
     def test_fit_cannot_change_under_its_stack(self, panel69):
         vfit = vk.fit_vecm(panel69, 2, 2)

@@ -96,6 +96,11 @@ class TestLoadFrame:
         with pytest.raises(NonNumericCellError, match=r"row 3.*value"):
             loads_frame(text, schema=("value",))
 
+    def test_short_row_names_row_and_column(self):
+        text = "quarter,a,b\n2001Q1,1,2\n2001Q2,3\n"
+        with pytest.raises(NonNumericCellError, match="<string>: row 3, column 'b': missing cell"):
+            loads_frame(text, schema=("a", "b"))
+
     def test_empty_file(self):
         with pytest.raises(EmptyInputError):
             loads_frame("", schema=("value",))
@@ -343,6 +348,14 @@ class TestLocationQuotient:
     def test_nonpositive_inputs(self, bad):
         with pytest.raises(DomainError):
             location_quotient(*bad)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_inputs(self, position, value):
+        inputs = [10.0, 100.0, 1.0, 100.0]
+        inputs[position] = value
+        with pytest.raises(DomainError, match="finite"):
+            location_quotient(*inputs)
 
     @given(scale=st.floats(1e-3, 1e3))
     def test_common_rescale_invariance(self, scale):

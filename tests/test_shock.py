@@ -71,6 +71,14 @@ class TestApplyShock:
         with pytest.raises(DomainError):
             apply_multiplicative_shock(path, 0.0, QuarterIndex(2018, 1))
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_factor_named(self, panel69, factor):
+        path = Series("x", QuarterIndex(2018, 1), [1.0])
+        with pytest.raises(DomainError, match=f"shock factor must be finite, got {factor}"):
+            apply_multiplicative_shock(path, factor, QuarterIndex(2018, 1))
+        with pytest.raises(DomainError, match=f"shock factor must be finite, got {factor}"):
+            scenario(panel69, factor=factor)
+
 
 class TestRunThreeStage:
     def test_forecast_window_matches_reference_span(self, panel69):

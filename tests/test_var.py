@@ -10,7 +10,7 @@ from vecmkit import (
     stability_moduli,
 )
 from vecmkit.errors import CoverageError, InsufficientDataError, MissingColumnError
-from vecmkit.formatting import to_jsonable
+from vecmkit.formatting import from_jsonable, to_jsonable
 from vecmkit.numerics import ols
 
 from conftest import make_frame, random_stable_var1, simulate_var
@@ -107,7 +107,7 @@ class TestFitVar:
 
     def test_serialization_roundtrip(self, panel69):
         fit = fit_var(panel69, 2)
-        again = VarFit.from_dict(to_jsonable(fit))
+        again = from_jsonable(VarFit, to_jsonable(fit))
         np.testing.assert_array_equal(again.coef_matrices[0], fit.coef_matrices[0])
         np.testing.assert_array_equal(again.sigma, fit.sigma)
         assert again.sample_start == fit.sample_start

@@ -18,6 +18,7 @@ from vecmkit import (
 )
 from vecmkit import vecm
 from vecmkit.errors import InsufficientDataError, RankError
+from vecmkit.formatting import from_jsonable, to_jsonable
 from vecmkit.numerics import OlsFit, ols
 from vecmkit.quarterly import first_difference, lag_matrix
 from vecmkit.var import forecast_var, stability_moduli
@@ -38,9 +39,9 @@ def johansen_result_from(eigenvalues, t_eff):
         names=tuple(f"x{i}" for i in range(k)),
         eigenvalues=lam,
         trace_stats=trace_statistics(lam, t_eff),
-        critical_values=np.array([TRACE_CRIT_5PCT[k - r] for r in range(k)]),
+        critical_values_5pct=np.array([TRACE_CRIT_5PCT[k - r] for r in range(k)]),
         t_eff=t_eff,
-        k=2,
+        lags=2,
     )
 
 
@@ -104,9 +105,9 @@ class TestSelectRank:
             names=tuple("abcdef"),
             eigenvalues=TABLE_EIGENVALUES,
             trace_stats=TABLE_TRACE,
-            critical_values=TABLE_CRIT,
+            critical_values_5pct=TABLE_CRIT,
             t_eff=67,
-            k=2,
+            lags=2,
         )
         assert select_rank(published) == 2
         # and on statistics recomputed from the published eigenvalues
@@ -163,6 +164,25 @@ class TestJohansenTrace:
             johansen_trace(panel69, k).eigenvalues,
             rtol=0.0,
             atol=1e-10,
+        )
+
+    @given(
+        scales=st.lists(st.floats(1e-3, 1e3), min_size=6, max_size=6),
+        shifts=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
+        k=st.integers(1, 3),
+    )
+    @settings(max_examples=30)
+    def test_eigenvalues_invariant_to_column_scale_and_shift(self, panel69, scales, shifts, k):
+        # squared canonical correlations do not see a positive rescaling of
+        # a column, and the unrestricted constant absorbs a shift of its level
+        moved = vk.Frame(
+            panel69.start, panel69.names, panel69.values * np.array(scales) + np.array(shifts)
+        )
+        np.testing.assert_allclose(
+            johansen_trace(moved, k).eigenvalues,
+            johansen_trace(panel69, k).eigenvalues,
+            rtol=0.0,
+            atol=1e-9,
         )
 
 
@@ -326,7 +346,7 @@ class TestFitVecm:
     def test_residual_count_on_69_rows(self, panel69):
         fit = fit_vecm(panel69, 4, 2)
         assert fit.residuals.shape == (65, 6)
-        assert fit.k == 4 and fit.rank == 2
+        assert fit.lags == 4 and fit.rank == 2
 
     def test_beta_normalization(self, panel69):
         fit = fit_vecm(panel69, 2, 2)
@@ -395,7 +415,7 @@ class TestFitVecm:
 
     def test_serialization_roundtrip(self, panel69):
         fit = fit_vecm(panel69, 2, 2)
-        again = VecmFit.from_dict(fit.to_dict())
+        again = from_jsonable(VecmFit, to_jsonable(fit))
         np.testing.assert_array_equal(again.beta, fit.beta)
         np.testing.assert_array_equal(
             forecast_vecm(again, 8).values, forecast_vecm(fit, 8).values
@@ -408,7 +428,7 @@ def build_vecm_fit(alpha, beta, gammas, const, tail, names=None, sigma=None):
     return VecmFit(
         rank=beta.shape[1],
         names=tuple(names or (f"x{i + 1}" for i in range(k))),
-        k=lags,
+        lags=lags,
         alpha=np.asarray(alpha, float),
         beta=np.asarray(beta, float),
         gammas=tuple(np.asarray(g, float) for g in gammas),
@@ -464,7 +484,7 @@ class TestLevelsConversion:
         # against iterating the converted levels VAR on the same shocks
         fit = well_specified_vecm_fit(rng, k=3, r=1, n_gammas=2)
         var = vecm_to_levels_var(fit)
-        k, lags = 3, fit.k
+        k, lags = 3, fit.lags
         steps = 25
         shocks = rng.standard_normal((steps, k))
         hist = [row.copy() for row in fit.tail]

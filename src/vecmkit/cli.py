@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import adf_test, lag_order_selection, lm_autocorrelation, normality_suite, vecm_stability
-from .errors import ConfigError, MissingColumnError, NonNumericCellError, VecmkitError
+from .errors import ConfigError, DomainError, MissingColumnError, NonNumericCellError, VecmkitError
 from .formatting import format_table, sig6, to_jsonable, write_csv, write_frame, write_json
 from .irf import orthogonalized_irfs
 from .quarterly import DEFAULT_SCHEMA, Frame, load_frame, location_quotient, parse_quarter, summary_stats
@@ -306,8 +306,11 @@ def _cmd_fit_vec(run: _Run) -> None:
 
 
 def _cmd_diagnose(run: _Run) -> None:
+    lm_lags = run.config.lm_lags
+    if lm_lags < 1:
+        raise DomainError(f"lm_lags must be >= 1, got {lm_lags}")
     fit = run.fit()
-    lm_results = [lm_autocorrelation(fit.residuals, lag) for lag in range(1, run.config.lm_lags + 1)]
+    lm_results = [lm_autocorrelation(fit.residuals, lag) for lag in range(1, lm_lags + 1)]
     names = tuple(f"D_{n}" for n in fit.names)
     normality = normality_suite(fit.residuals, n_eff=run.config.n_eff, names=names)
     stability = vecm_stability(fit)
@@ -421,10 +424,11 @@ def _cmd_shock(run: _Run) -> None:
     run.json("stage3_model.json", to_jsonable(result.stage3_fit))
     for name, irf in result.irfs.items():
         run.csv(f"irf_{scenario.target}_{name}.csv", ["step", "response"], enumerate(irf.values.tolist()))
+    step = min(4, scenario.horizon)
     _table(
         f"Shock pipeline: {scenario.target} x{scenario.factor} from {scenario.start} (differenced-scale IRFs)",
-        ["response", "impact (step 0)", "step 4"],
-        [[name, irf.values[0], irf.values[min(4, len(irf.values) - 1)]] for name, irf in result.irfs.items()],
+        ["response", "impact (step 0)", f"step {step}"],
+        [[name, irf.values[0], irf.values[step]] for name, irf in result.irfs.items()],
     )
 
 

@@ -12,7 +12,8 @@ implied by the maximum lag, per-observation:
 
 with LL the Gaussian log likelihood under the ML covariance divisor. The
 VAR(j) designs are nested, [1, lags 1..j] being the leading columns of the
-max-lag design, so every lag's fit comes from one QR of the max-lag design.
+max-lag design, so every lag's fit comes from one QR of the max-lag design,
+and the log-determinants of all their covariances from one stacked Cholesky.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
 
     Every VAR(j) is a leading block of one QR of the VAR(max_lag) design,
     and its log likelihood is read off that factor's residual covariance;
-    no coefficients or residuals are formed."""
+    the max_lag + 1 covariances take one stacked Cholesky call, and no
+    coefficients or residuals are formed."""
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
     k = frame.n_columns
@@ -99,10 +101,11 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
     targets = frame.values[max_lag:]
     widest = ols(targets, np.hstack([np.ones((t_eff, 1)), *_lag_blocks(frame.values, max_lag)]))
 
+    lls = widest.log_likelihoods([1 + k * j for j in range(max_lag + 1)]).tolist()
+
     rows: list[LagCriteriaRow] = []
     prev_ll: float | None = None
-    for j in range(max_lag + 1):
-        ll = widest.leading(1 + k * j).log_likelihood
+    for j, ll in enumerate(lls):
         crit = information_criteria(ll, j, k, t_eff)
         if j == 0:
             lr = lr_df = lr_p = None

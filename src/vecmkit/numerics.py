@@ -11,10 +11,12 @@ without forming residuals, and nested models such as the VAR(j) of a lag
 search, or the restricted and unrestricted fits of an LM test, all come
 from one factorization of the widest design.
 
-Cholesky factors come from LAPACK. Positive definiteness is decided by
-pivots exceeding 1e-12: when LAPACK fails or its smallest pivot is within
-that tolerance, the column-by-column pivot search runs to name the failing
-pivot. Symmetry is checked at 1e-8 relative tolerance.
+Cholesky factors come from LAPACK, one batched call for a (..., n, n)
+stack, so the log-determinants of many covariances (the lag search's, say)
+cost one call. Positive definiteness is decided by pivots exceeding 1e-12:
+when LAPACK fails or a slice's smallest pivot is within that tolerance, the
+column-by-column pivot search runs, slice by slice in order, to name the
+failing pivot. Symmetry is checked per slice at 1e-8 relative tolerance.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ PIVOT_TOL = 1e-12
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
+def _as_matrix(a, name: str, stacked: bool = False) -> np.ndarray:
+    """``a`` as a finite float matrix, or a (..., n, n) stack when ``stacked``."""
     out = np.asarray(a, dtype=float)
-    if out.ndim != 2:
+    if out.ndim != 2 and not (stacked and out.ndim > 2):
         raise DomainError(f"{name} must be 2-dimensional, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise DomainError(f"{name} contains non-finite entries")
@@ -48,12 +51,15 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
+    """The symmetric part of a matrix or of each slice of a stack, after
+    checking each is symmetric relative to its own largest entry."""
+    if a.shape[-1] != a.shape[-2]:
         raise DomainError(f"{name} must be square, got shape {a.shape}")
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
+    at = np.swapaxes(a, -1, -2)
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    if (np.abs(a - at).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale).any():
         raise DomainError(f"{name} is not symmetric within tolerance")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + at)
 
 
 class OlsFit:
@@ -74,9 +80,14 @@ class OlsFit:
 
     sigma is therefore read off R with the maximum-likelihood divisor T,
     and coefficients and residuals are computed only when first read. Every
-    array the fit returns is read-only. log_likelihood follows the Gaussian
-    profile likelihood -(T/2)(K ln 2pi + K + ln|sigma|) and raises on a
-    degenerate (singular) sigma rather than returning -inf.
+    array the fit returns is read-only. ``log_likelihoods`` gives the
+    Gaussian profile likelihood -(T/2)(K ln 2pi + K + ln|sigma|) of several
+    leading fits from one stacked Cholesky, and ``log_likelihood`` is its
+    one-width case; both raise on a degenerate (singular) sigma rather than
+    returning -inf.
+
+    R may come from any Q with orthonormal columns such that [X | Y] = Q R,
+    not only from ``ols``'s own QR: the blocks above hold for every such R.
     """
 
     def __init__(self, xy: np.ndarray, r: np.ndarray, n_x: int, m: int):
@@ -99,6 +110,11 @@ class OlsFit:
         """The m x m upper-triangular factor of the design: X'X = R'R."""
         return self._r[: self._m, : self._m]
 
+    @property
+    def augmented_r(self) -> np.ndarray:
+        """The read-only upper-triangular factor of all of [X | Y]."""
+        return self._r
+
     @cached_property
     def sigma(self) -> np.ndarray:  # K x K
         tail = self._r[self._m :, self._n_x :]
@@ -115,17 +131,23 @@ class OlsFit:
         y = self._xy[:, self._n_x :]
         return _read_only(y - self._xy[:, : self._m] @ self.coefficients)
 
-    @cached_property
-    def log_likelihood(self) -> float:
-        t, k = self.nobs, self.sigma.shape[0]
+    def log_likelihoods(self, widths) -> np.ndarray:
+        """Log likelihoods of the fits on the first m columns of X, one per m
+        in ``widths``: their sigmas are stacked and take one Cholesky call."""
+        sigmas = np.stack([self.leading(m).sigma for m in widths])
+        t, k = self.nobs, sigmas.shape[-1]
         try:
-            ld = log_det(self.sigma)
+            ld = log_det(sigmas)
         except NotPositiveDefiniteError as exc:
             raise DegenerateInputError(
                 "residual covariance is singular; log likelihood undefined "
                 "(exact fit or collinear targets)"
             ) from exc
         return -0.5 * t * (k * LOG_2PI + k + ld)
+
+    @cached_property
+    def log_likelihood(self) -> float:
+        return float(self.log_likelihoods([self._m])[0])
 
     def leading(self, m: int) -> "OlsFit":
         """The fit of Y on the first m columns of X: a view on the same R.
@@ -166,29 +188,50 @@ def ols(y, x) -> OlsFit:
 def cholesky_lower(a) -> np.ndarray:
     """Lower-triangular L with L L' = A; reports the failing pivot otherwise.
 
-    LAPACK computes L. Only when it fails, or when its smallest pivot
-    diag(L)^2 is within PIVOT_TOL, does the pivot search below run, so a
-    rejected input names the same pivot whichever way it was found.
+    A may be a (..., n, n) stack, factored by one batched LAPACK call; each
+    slice of the result equals a call on that slice alone. Only when LAPACK
+    fails, or when a slice's smallest pivot diag(L)^2 is within PIVOT_TOL,
+    does the pivot search below run, slice by slice in order, so a rejected
+    input names the same pivot whichever way it was found, and a stack
+    names its first failing slice.
     """
-    a = _require_symmetric(_as_matrix(a, "A"), "A")
+    a = _require_symmetric(_as_matrix(a, "A", stacked=True), "A")
     try:
-        lower = np.linalg.cholesky(a)
+        return _pivots_checked(np.linalg.cholesky(a), a)
     except np.linalg.LinAlgError:
-        return _cholesky_pivots(a)
-    if float(np.min(np.diag(lower))) ** 2 <= PIVOT_TOL:
-        return _cholesky_pivots(a)
+        pass
+    # LAPACK does not say which slice failed, so each is factored alone
+    lower = np.empty_like(a)
+    for at in np.ndindex(a.shape[:-2]):
+        try:
+            lower[at] = _pivots_checked(np.linalg.cholesky(a[at]), a[at], at)
+        except np.linalg.LinAlgError:
+            lower[at] = _cholesky_pivots(a[at], at)
     return lower
 
 
-def _cholesky_pivots(a: np.ndarray) -> np.ndarray:
-    """Column-by-column Cholesky that raises at the first pivot <= PIVOT_TOL."""
+def _pivots_checked(lower: np.ndarray, a: np.ndarray, at: tuple = ()) -> np.ndarray:
+    """``lower`` after the pivot search has rerun, in order, every slice
+    whose smallest pivot is within PIVOT_TOL; ``at`` locates ``a`` in a stack."""
+    small = lower.diagonal(0, -2, -1).min(axis=-1) ** 2 <= PIVOT_TOL
+    if small.any():
+        for index in np.ndindex(small.shape):
+            if small[index]:
+                lower[index] = _cholesky_pivots(a[index], at + index)
+    return lower
+
+
+def _cholesky_pivots(a: np.ndarray, at: tuple = ()) -> np.ndarray:
+    """Column-by-column Cholesky that raises at the first pivot <= PIVOT_TOL;
+    ``at`` is the slice's index in a stack, named in the error."""
     n = a.shape[0]
     lower = np.zeros_like(a)
+    where = f" (slice {', '.join(map(str, at))})" if at else ""
     for j in range(n):
         d = a[j, j] - lower[j, :j] @ lower[j, :j]
         if d <= PIVOT_TOL:
             raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: pivot {j} = {d:.3e}", pivot=j
+                f"matrix is not positive definite{where}: pivot {j} = {d:.3e}", pivot=j
             )
         lower[j, j] = math.sqrt(d)
         if j + 1 < n:
@@ -220,10 +263,13 @@ def generalized_symmetric_eigen(a, b) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def log_det(a) -> float:
-    """ln|A| for positive-definite A, via 2 * sum(ln diag(chol(A)))."""
+def log_det(a) -> float | np.ndarray:
+    """ln|A| for positive-definite A, via 2 * sum(ln diag(chol(A))); a
+    (..., n, n) stack gives the array of its slices' values from one
+    ``cholesky_lower`` call."""
     lower = cholesky_lower(a)
-    return float(2.0 * np.sum(np.log(np.diag(lower))))
+    ld = 2.0 * np.sum(np.log(lower.diagonal(0, -2, -1)), axis=-1)
+    return float(ld) if lower.ndim == 2 else ld
 
 
 def eigen_moduli(a) -> np.ndarray:

@@ -8,12 +8,17 @@ product-moment matrices S00, S01, S11 of the two residual sets, and solves
 S10 S00^-1 S01 v = lambda S11 v, symmetrized through the Cholesky factor of
 S11 so the eigenvalues are real.
 
-The eigen step is the costly part and depends only on the frame and the lag
-order, so it is kept for the last (frame, k), keyed by the frame's content
-(``Frame`` equality: start, names and every value bit for bit). The rank
-test and every fit on one panel then share one eigen step; the record is
-read-only, and the regressors a fit needs are rebuilt from the frame, so a
-reused result equals a fresh one bit for bit.
+The concentration is the costly part and depends only on the frame and the
+lag order, so it is kept for the last (frame, k), keyed by the frame's
+content (``Frame`` equality: start, names and every value bit for bit). It
+keeps the eigen step and R, the triangular factor of [z2 | z0 | z1] from
+its one QR. The rank test and every fit on one panel then share one
+concentration, and a fit factors no tall matrix of its own: its design
+[z2, z1 beta] and target z0 are Q times blocks of R, so the QR of those
+few rows (one per column of R) is a QR of [design | z0] (Golub & Van
+Loan, Matrix Computations, 5.3). The record is read-only, and the
+regressors a fit needs are rebuilt from the frame, so a reused result
+equals a fresh one bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     RankError,
     SingularDesignError,
 )
-from .numerics import cholesky_lower, generalized_symmetric_eigen, ols
+from .numerics import OlsFit, cholesky_lower, generalized_symmetric_eigen, ols
 from .quarterly import Frame, QuarterIndex, _lag_blocks
 from .var import VarFit, forecast_var, freeze_arrays
 
@@ -103,11 +108,13 @@ def _regressors(frame: Frame, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 class _Concentration(NamedTuple):
-    """The eigen step of the rank test; both arrays are read-only."""
+    """The eigen step of the rank test and the factor it came from; every
+    array is read-only."""
 
     eigenvalues: np.ndarray  # (K,), descending, clipped to [0, 1)
     eigenvectors: np.ndarray  # K x K, columns aligned
     t_eff: int
+    r: np.ndarray  # R of [z2 | z0 | z1], (1 + K (k + 1)) columns
 
 
 def _concentrate(frame: Frame, k: int) -> _Concentration:
@@ -116,10 +123,12 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
     residual sets, and solve the eigenproblem.
 
     The S matrices are the blocks of one fit's residual covariance, which
-    ``ols`` reads off its triangular factor, so no residuals are formed."""
+    ``ols`` reads off its triangular factor, so no residuals are formed.
+    That factor, R of [z2 | z0 | z1], is kept for ``fit_vecm``."""
     z0, z1, z2 = _regressors(frame, k)
     t_eff, n_vars = z0.shape
-    s = ols(np.hstack([z0, z1]), z2).sigma
+    fit = ols(np.hstack([z0, z1]), z2)
+    s = fit.sigma
     s00, s01, s11 = s[:n_vars, :n_vars], s[:n_vars, n_vars:], s[n_vars:, n_vars:]
 
     try:
@@ -131,14 +140,14 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
     lam = np.clip(lam, 0.0, _EIGENVALUE_CEIL)
     for shared in (lam, vectors):
         shared.setflags(write=False)
-    return _Concentration(lam, vectors, t_eff)
+    return _Concentration(lam, vectors, t_eff, fit.augmented_r)
 
 
 @lru_cache(maxsize=1)
 def _concentration(frame: Frame, k: int) -> _Concentration:
     """``_concentrate`` memoized for the last (frame, k) only, keyed by the
     frame's content, so the rank test and the fits on one panel share one
-    eigen step. A call that raises caches nothing."""
+    concentration. A call that raises caches nothing."""
     return _concentrate(frame, k)
 
 
@@ -153,7 +162,7 @@ def johansen_trace(frame: Frame, k: int) -> JohansenResult:
     n_vars = frame.n_columns
     if n_vars not in TRACE_CRIT_5PCT:
         raise DomainError(f"no trace critical value for K - r = {n_vars}; table covers 1..12")
-    lam, _, t_eff = _concentration(frame, k)
+    lam, _, t_eff, _ = _concentration(frame, k)
     stats = trace_statistics(lam, t_eff)
     crit = np.array([TRACE_CRIT_5PCT[n_vars - r] for r in range(n_vars)])
     return JohansenResult(
@@ -183,7 +192,7 @@ class VecmFit:
     beta is normalized so the block picked out by ``beta_pivot`` (the first
     r rows whenever they are nonsingular) is exactly the identity; alpha, the
     short-run matrices and the constant come from least squares of dX_t on
-    [beta' X_{t-1}, dX lags, 1]. Its arrays are read-only.
+    [1, dX lags, beta' X_{t-1}]. Its arrays are read-only.
     """
 
     rank: int
@@ -230,6 +239,12 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
 
     r must satisfy 0 < r < K: at r = 0 fit a VAR on differences instead,
     and at r = K fit a VAR in levels.
+
+    The regression of z0 on [z2, z1 beta] is read off the concentration's
+    R of [z2 | z0 | z1] = Q R: the design and z0 are Q times
+    [R_z2, R_z1 beta, R_z0], so the QR of that small matrix (as many rows as
+    R has) is a QR of [design | z0], and no T-row matrix is factored. R_z2
+    is already triangular, so that QR leaves the z2 block as it is.
     """
     n_vars = frame.n_columns
     if not 0 < r < n_vars:
@@ -237,22 +252,25 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
             f"rank must lie strictly between 0 and {n_vars}; got {r}. "
             "Use a VAR in differences for r=0 or a levels VAR for r=K."
         )
-    vectors = _concentration(frame, k).eigenvectors
+    concentration = _concentration(frame, k)
     z0, z1, z2 = _regressors(frame, k)
-    beta_raw = vectors[:, :r]
+    beta_raw = concentration.eigenvectors[:, :r]
     pivot = _first_independent_rows(beta_raw, r)
     beta = beta_raw @ np.linalg.inv(beta_raw[list(pivot), :])
     beta[list(pivot)] = np.eye(r)  # exact, not identity to rounding
 
-    ect = z1 @ beta
-    design = np.hstack([ect, z2[:, 1:], z2[:, :1]])  # [beta'X_{t-1}, dX lags, 1]
-    fit = ols(z0, design)
+    # [1, dX lags, beta'X_{t-1} | dX_t], and the same columns in R's coordinates
+    n_z2 = z2.shape[1]
+    r_z2, r_z0, r_z1 = np.hsplit(concentration.r, [n_z2, n_z2 + n_vars])
+    xy = np.hstack([z2, z1 @ beta, z0])
+    r_xy = np.linalg.qr(np.hstack([r_z2, r_z1 @ beta, r_z0]), mode="r")
+    for shared in (xy, r_xy):
+        shared.setflags(write=False)
+    fit = OlsFit(xy, r_xy, n_z2 + r, n_z2 + r)
     coef = fit.coefficients
-    alpha = coef[:r].T.copy()
-    gammas = tuple(
-        coef[r + n_vars * (i - 1) : r + n_vars * i].T.copy() for i in range(1, k)
-    )
-    const = coef[-1].copy()
+    const = coef[0].copy()
+    gammas = tuple(coef[1 + n_vars * (i - 1) : 1 + n_vars * i].T.copy() for i in range(1, k))
+    alpha = coef[n_z2:].T.copy()
 
     return VecmFit(
         rank=r,

@@ -237,6 +237,16 @@ class TestStdout:
              None, joint["kurt_chi2"], joint["kurt_p"]],
         )
 
+    @pytest.mark.parametrize("horizon,step", [(1, 1), (2, 2), (12, 4)])
+    def test_shock_names_the_step_it_shows(self, dataset, tmp_path, capsys, horizon, step):
+        out, [(title, header, rows)] = self.run(dataset, tmp_path, capsys, "shock", "--horizon", str(horizon))
+        assert header == ["response", "impact (step 0)", f"step {step}"]
+        assert len(rows) == 6
+        for name, *row in rows:
+            _, irf = read_csv(out / f"irf_exchange_rate_{name}.csv")
+            assert len(irf) == horizon + 1
+            assert_cells([name, *row], [name, irf[0][1], irf[step][1]])
+
     def test_irf(self, dataset, tmp_path, capsys):
         out, tables = self.run(dataset, tmp_path, capsys, "irf", "--impulse", "price", "--horizon", "8")
         assert len(tables) == 6
@@ -606,6 +616,16 @@ class TestErrorReporting:
             factor = "nan"
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"type": "DomainError", "message": f"shock factor must be finite, got {factor}"}
+
+    @pytest.mark.parametrize("lm_lags", ["0", "-2"])
+    def test_lm_lags_below_one_rejected(self, dataset, tmp_path, capsys, lm_lags):
+        out = tmp_path / "out"
+        run_cli("--dataset", str(dataset), "-o", str(out), "diagnose", "--lm-lags", lm_lags, expect=1)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)["error"]
+        assert err == {"type": "DomainError", "message": f"lm_lags must be >= 1, got {lm_lags}"}
+        assert list(out.iterdir()) == []
 
     def test_missing_dataset_is_machine_readable(self, tmp_path, capsys):
         run_cli("-o", str(tmp_path / "out"), "describe", expect=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecmkit as vk
 from vecmkit import (
@@ -20,7 +22,7 @@ from vecmkit.errors import (
     SingularDesignError,
 )
 
-from vecmkit.numerics import ols
+from vecmkit.numerics import LOG_2PI, log_det, ols
 
 from conftest import make_frame, simulate_var, well_specified_vecm_fit
 
@@ -85,6 +87,34 @@ class TestLagOrderSelection:
             assert row.log_likelihood == pytest.approx(
                 vk.ols(targets, design).log_likelihood, rel=1e-10
             )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 5),
+        max_lag=st.integers(1, 6),
+    )
+    @settings(max_examples=40)
+    def test_log_likelihoods_equal_per_width_fits(self, seed, n_vars, max_lag):
+        """The stacked log-determinants give each lag's log likelihood bit
+        for bit as the fit on that leading block alone, and as the formula
+        on that fit's own sigma."""
+        frame = make_frame(np.random.default_rng(seed).standard_normal((90, n_vars)).cumsum(axis=0))
+        report = lag_order_selection(frame, max_lag)
+        t = report.t_eff
+        widest = ols(frame.values[max_lag:], np.hstack([np.ones((t, 1)), vk.lag_matrix(frame.values, max_lag)]))
+        for row in report.rows:
+            nested = widest.leading(1 + n_vars * row.lag)
+            by_formula = -0.5 * t * (n_vars * LOG_2PI + n_vars + log_det(nested.sigma))
+            assert row.log_likelihood == nested.log_likelihood == by_formula
+
+    def test_degenerate_lag_raises(self, rng):
+        """A variable that its own first lag fits exactly leaves the VAR(1)
+        covariance singular: the stacked Cholesky names that lag's slice."""
+        walks = rng.standard_normal((60, 2)).cumsum(axis=0)
+        frame = make_frame(np.column_stack([walks, 0.9 ** np.arange(60.0)]))
+        with pytest.raises(DegenerateInputError, match="residual covariance is singular") as err:
+            lag_order_selection(frame, 1)
+        assert "(slice 1)" in str(err.value.__cause__) and err.value.__cause__.pivot == 2
 
     def test_sbic_picks_zero_on_white_noise(self):
         hits = 0

@@ -248,6 +248,52 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
             cholesky_lower(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        stack = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
+        with pytest.raises(DomainError):
+            cholesky_lower(stack)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        shape=st.sampled_from([(1,), (7,), (2, 3)]),
+    )
+    def test_stack_slices_equal_single_calls(self, seed, n, shape):
+        rng = np.random.default_rng(seed)
+        stack = np.empty((*shape, n, n))
+        for index in np.ndindex(shape):
+            stack[index] = random_spd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+        stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
+        lower, lds = cholesky_lower(stack), log_det(stack)
+        assert lower.shape == stack.shape and lds.shape == shape
+        for index in np.ndindex(shape):
+            assert lower[index].tobytes() == cholesky_lower(stack[index]).tobytes()
+            assert lds[index] == log_det(stack[index])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.diag([2.0, 1.0, -1.0]), np.diag([1.0, 1.0, 1e-13])],
+        ids=["lapack-fails", "pivot-within-tolerance"],
+    )
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_stack_names_failing_slice(self, bad, j):
+        stack = np.stack([(i + 1.0) * np.eye(3) for i in range(5)])
+        stack[j] = bad
+        for call in (cholesky_lower, log_det):
+            with pytest.raises(NotPositiveDefiniteError, match=rf"\(slice {j}\): pivot 2 ") as err:
+                call(stack)
+            assert err.value.pivot == 2
+
+    def test_stack_names_first_failing_slice(self):
+        """Slices are checked in row-major order, whichever way each fails:
+        LAPACK fails on the negative pivot, and 1e-13 is within PIVOT_TOL."""
+        eye, small, negative = np.eye(3), np.diag([1.0, 1e-13, 1.0]), np.diag([-1.0, 1.0, 1.0])
+        for stack, match in (
+            ([eye, small, negative], r"\(slice 1\): pivot 1 "),
+            ([[eye, eye], [negative, small]], r"\(slice 1, 0\): pivot 0 "),
+            ([[eye, small], [negative, eye]], r"\(slice 0, 1\): pivot 1 "),
+        ):
+            with pytest.raises(NotPositiveDefiniteError, match=match):
+                cholesky_lower(np.array(stack))
 
     def test_reconstruction_on_random_spd(self, rng):
         for k in (2, 3, 5, 8):

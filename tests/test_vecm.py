@@ -238,7 +238,8 @@ class TestConcentrationMoments:
 
         # the eigenpairs solve S10 S00^-1 S01 v = lambda S11 v on the
         # residual-based moments, with v' S11 v = I
-        lam, vecs, _ = _concentrate(frame, k)
+        concentration = _concentrate(frame, k)
+        lam, vecs = concentration.eigenvalues, concentration.eigenvectors
         a = s01.T @ np.linalg.solve(s00, s01)
         want = scipy.linalg.eigh(0.5 * (a + a.T), s11, eigvals_only=True)[::-1]
         np.testing.assert_allclose(lam, want, rtol=0.0, atol=1e-10)
@@ -331,7 +332,7 @@ class TestConcentrationMemo:
         _concentration.cache_clear()
         trace = johansen_trace(panel69, 2)
         record = _concentration(panel69, 2)
-        for array in (record.eigenvalues, record.eigenvectors, trace.eigenvalues):
+        for array in (record.eigenvalues, record.eigenvectors, record.r, trace.eigenvalues):
             with pytest.raises(ValueError):
                 array[0] = 0.5
 
@@ -412,6 +413,53 @@ class TestFitVecm:
         fit = fit_vecm(panel69, 2, 2)
         angles = scipy.linalg.subspace_angles(fit.beta, raw)
         assert np.max(angles) < 1e-7
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(2, 5),
+        k=st.integers(1, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_regression_matches_lstsq(self, seed, n_vars, k, data):
+        """The regression read off the concentration's R equals a separate
+        least-squares fit of z0 on [z1 beta, dX lags, 1], built here from the
+        levels; at k = 1 that design is z1 beta and the constant alone."""
+        r = data.draw(st.integers(1, n_vars - 1), label="r")
+        rng = np.random.default_rng(seed)
+        frame = make_frame(np.cumsum(rng.standard_normal((80, n_vars)), axis=0))
+        fit = fit_vecm(frame, k, r)
+
+        x, t = frame.values, len(frame)
+        dx = np.diff(x, axis=0)
+        z0 = dx[k - 1 :]
+        lags = [dx[k - 1 - i : t - 1 - i] for i in range(1, k)]
+        design = np.column_stack([x[k - 1 : t - 1] @ fit.beta, *lags, np.ones(t - k)])
+        coef = np.linalg.lstsq(design, z0, rcond=None)[0]
+        resid = z0 - design @ coef
+        want = [coef[:r].T, coef[-1], resid, resid.T @ resid / (t - k)]
+        want += [coef[r + n_vars * i : r + n_vars * (i + 1)].T for i in range(k - 1)]
+        got = [fit.alpha, fit.const, fit.residuals, fit.sigma, *fit.gammas]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_one_least_squares_fit_per_panel(self, panel69, monkeypatch, warm):
+        """A fit reads its regression off the concentration's factor, so a
+        cold rank test and fit, or a cold fit alone, call ``ols`` once."""
+        calls = []
+
+        def spy(y, x):
+            calls.append(np.shape(x))
+            return ols(y, x)
+
+        monkeypatch.setattr(vecm, "ols", spy)
+        _concentration.cache_clear()
+        if warm:
+            johansen_trace(panel69, 2)
+        fit_vecm(panel69, 2, 2)
+        assert calls == [(67, 7)]  # the concentration's [1, dX_{t-1}]
 
     def test_serialization_roundtrip(self, panel69):
         fit = fit_vecm(panel69, 2, 2)

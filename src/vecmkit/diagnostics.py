@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularDesignError,
 )
-from .numerics import LOG_2PI, chi_square_sf, cholesky_lower, ols
+from .numerics import LOG_2PI, _factor, chi_square_sf, cholesky_lower
 from .quarterly import Frame, Series, _lag_blocks
 from .vecm import VecmFit, vecm_to_levels_var
 from .var import stability_moduli
@@ -98,8 +98,12 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
         raise InsufficientDataError(
             f"{len(frame)} rows are too few to compare lags up to {max_lag}"
         )
-    targets = frame.values[max_lag:]
-    widest = ols(targets, np.hstack([np.ones((t_eff, 1)), *_lag_blocks(frame.values, max_lag)]))
+    widest = _factor(
+        np.hstack(
+            [np.ones((t_eff, 1)), *_lag_blocks(frame.values, max_lag), frame.values[max_lag:]]
+        ),
+        1 + k * max_lag,
+    )
 
     lls = widest.log_likelihoods([1 + k * j for j in range(max_lag + 1)]).tolist()
 
@@ -190,19 +194,25 @@ def lm_autocorrelation(
     base = np.ones((t, 1)) if design is None else np.asarray(design, dtype=float)
     if base.ndim != 2 or base.shape[0] != t:
         raise DomainError("design must have one row per residual row")
-    lagged = np.zeros_like(u)
-    lagged[lag:] = u[:-lag]
-    full = np.hstack([base, lagged])
+    for name, a in (("residuals", u), ("design", base)):
+        if not np.all(np.isfinite(a)):
+            raise DomainError(f"{name} contain non-finite entries")
+    # [base, residuals lagged with zero-filled initial rows | residuals]
+    n_base = base.shape[1]
+    m = n_base + k
+    xy = np.zeros((t, m + k))
+    xy[:, :n_base] = base
+    xy[lag:, n_base:m] = u[:-lag]
+    xy[:, m:] = u
 
     try:
-        unrestricted = ols(u, full)
+        unrestricted = _factor(xy, m)
     except (SingularDesignError, InsufficientDataError):
-        _require_variation(ols(u, base).sigma)
+        _require_variation(_factor(np.hstack([base, u]), n_base).sigma)
         raise
-    restricted = unrestricted.leading(base.shape[1])
+    restricted = unrestricted.leading(n_base)
     _require_variation(restricted.sigma)
 
-    m = full.shape[1]
     trace = float(np.trace(np.linalg.solve(restricted.sigma, unrestricted.sigma)))
     statistic = max((t - m - 0.5 * (k + 1)) * (k - trace), 0.0)
     df = k * k
@@ -326,12 +336,14 @@ class AdfResult:
 def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
     """Regress dy_t on y_{t-1}, lagged differences, and deterministic terms;
     the statistic is the y_{t-1} coefficient over its standard error. The
-    regression goes through ``ols``, so a rank-deficient design (an exact
-    trend, say) raises ``SingularDesignError``, and an exact fit of the
+    regression is one least-squares fit, so a rank-deficient design (an
+    exact trend, say) raises ``SingularDesignError``, and an exact fit of the
     differences raises ``DegenerateInputError``."""
     y = series.values if isinstance(series, Series) else np.asarray(series, dtype=float)
     if y.ndim != 1:
         raise DomainError("ADF input must be a single series")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("ADF input contains non-finite entries")
     if lags < 0:
         raise DomainError(f"lags must be >= 0, got {lags}")
     if spec not in ADF_CRITICAL_VALUES:
@@ -351,10 +363,10 @@ def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
         cols.append(np.ones((n, 1)))
     if spec == "constant+trend":
         cols.append(np.arange(1.0, n + 1.0)[:, None])
-    x = np.hstack(cols)
     target = dy[lags:]
+    n_x = sum(c.shape[1] for c in cols)
 
-    fit = ols(target, x)
+    fit = _factor(np.hstack([*cols, target]), n_x)
     rss = float(fit.sigma[0, 0]) * n
     # An exact fit leaves a residual sum of squares below the rounding error
     # of the target's own sum of squares, and a statistic made of rounding
@@ -362,7 +374,7 @@ def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
     # of the two was 0.62.
     if rss <= n * np.finfo(float).eps * float(target[:, 0] @ target[:, 0]):
         raise DegenerateInputError("ADF regression has a degenerate exact fit")
-    s2 = rss / (n - x.shape[1])
+    s2 = rss / (n - n_x)
     r = fit.r  # (X'X)^-1 = R^-1 R^-T
     rinv = np.linalg.solve(r, np.eye(r.shape[0]))
     se = math.sqrt(s2 * float((rinv @ rinv.T)[0, 0]))

@@ -11,6 +11,12 @@ without forming residuals, and nested models such as the VAR(j) of a lag
 search, or the restricted and unrestricted fits of an LM test, all come
 from one factorization of the widest design.
 
+There is one factor step, ``_factor``, with two ways in. The estimators
+build each design once, as one [X | Y] array in the layout that is
+factored, and hand it over; ``ols(y, x)`` is the validating way in for
+arrays from outside, which checks that they are finite and conformable and
+copies them into one [X | Y] first.
+
 Cholesky factors come from LAPACK, one batched call for a (..., n, n)
 stack, so the log-determinants of many covariances (the lag search's, say)
 cost one call. Positive definiteness is decided by pivots exceeding 1e-12:
@@ -65,7 +71,7 @@ def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
 class OlsFit:
     """Equation-by-equation least squares fit of Y on the first m columns of X.
 
-    The fit holds a read-only copy of [X | Y] (T x (n + K), X first) and R,
+    The fit holds a read-only [X | Y] (T x (n + K), X first) and R,
     the upper-triangular factor of its Householder QR; Q is never formed.
     Because Q'[X | Y] = R, the rows of R split at m give every fit on a
     leading block of X:
@@ -87,7 +93,7 @@ class OlsFit:
     returning -inf.
 
     R may come from any Q with orthonormal columns such that [X | Y] = Q R,
-    not only from ``ols``'s own QR: the blocks above hold for every such R.
+    not only from ``_factor``'s own QR: the blocks above hold for every such R.
     """
 
     def __init__(self, xy: np.ndarray, r: np.ndarray, n_x: int, m: int):
@@ -115,11 +121,15 @@ class OlsFit:
         """The read-only upper-triangular factor of all of [X | Y]."""
         return self._r
 
+    def _sigma(self, m: int) -> np.ndarray:
+        """sigma of the fit on the first m columns of X, off R's trailing block."""
+        tail = self._r[m:, self._n_x :]
+        s = tail.T @ tail / self.nobs
+        return 0.5 * (s + s.T)
+
     @cached_property
     def sigma(self) -> np.ndarray:  # K x K
-        tail = self._r[self._m :, self._n_x :]
-        s = tail.T @ tail / self.nobs
-        return _read_only(0.5 * (s + s.T))
+        return _read_only(self._sigma(self._m))
 
     @cached_property
     def coefficients(self) -> np.ndarray:  # m x K
@@ -133,8 +143,9 @@ class OlsFit:
 
     def log_likelihoods(self, widths) -> np.ndarray:
         """Log likelihoods of the fits on the first m columns of X, one per m
-        in ``widths``: their sigmas are stacked and take one Cholesky call."""
-        sigmas = np.stack([self.leading(m).sigma for m in widths])
+        in ``widths``: their sigmas, each read off R's trailing block below
+        row m, are stacked and take one Cholesky call."""
+        sigmas = np.stack([self._sigma(m) for m in widths])
         t, k = self.nobs, sigmas.shape[-1]
         try:
             ld = log_det(sigmas)
@@ -166,23 +177,34 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _factor(xy: np.ndarray, n_x: int) -> OlsFit:
+    """The fit of the last columns of ``xy`` on its first ``n_x``: the one
+    factor step behind every least-squares fit.
+
+    ``xy`` is a finite float [X | Y] that the caller built for this fit and
+    hands over: it is marked read-only and kept, not copied. Raises on too
+    few rows and on rank deficiency.
+    """
+    t = xy.shape[0]
+    if t <= n_x:
+        raise InsufficientDataError(f"need more observations ({t}) than regressors ({n_x})")
+    return OlsFit(_read_only(xy), _read_only(np.linalg.qr(xy, mode="r")), n_x, n_x)
+
+
 def ols(y, x) -> OlsFit:
     """Multivariate least squares via one QR of [X | Y]; raises on rank
     deficiency.
 
-    The fit keeps its own read-only copy of [X | Y] and the factor R, so
-    ``fit.leading(m)`` gives the fit on the first m regressors without
-    factoring again, and later writes to the caller's arrays change nothing.
+    The validating way into ``_factor``: Y and X must be finite matrices
+    with equal row counts, and are copied into one [X | Y], so later writes
+    to the caller's arrays change nothing. ``fit.leading(m)`` gives the fit
+    on the first m regressors without factoring again.
     """
     y = _as_matrix(y, "Y")
     x = _as_matrix(x, "X")
-    t, m = x.shape
-    if y.shape[0] != t:
-        raise DomainError(f"Y has {y.shape[0]} rows but X has {t}")
-    if t <= m:
-        raise InsufficientDataError(f"need more observations ({t}) than regressors ({m})")
-    xy = _read_only(np.hstack([x, y]))
-    return OlsFit(xy, _read_only(np.linalg.qr(xy, mode="r")), m, m)
+    if y.shape[0] != x.shape[0]:
+        raise DomainError(f"Y has {y.shape[0]} rows but X has {x.shape[0]}")
+    return _factor(np.hstack([x, y]), x.shape[1])
 
 
 def cholesky_lower(a) -> np.ndarray:

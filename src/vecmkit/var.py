@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoverageError, DomainError, InsufficientDataError
-from .numerics import eigen_moduli, ols
+from .numerics import _factor, eigen_moduli
 from .quarterly import Frame, QuarterIndex, _lag_blocks
 
 
@@ -114,10 +114,12 @@ def fit_var(
             + (f" and {n_active} exogenous terms" if n_active else "")
         )
 
-    design = [np.ones((t_eff, 1)), *_lag_blocks(frame.values, p)]
+    # [1, lags, exogenous | X_t]
+    xy = [np.ones((t_eff, 1)), *_lag_blocks(frame.values, p)]
     if features is not None:
-        design.append(features[:, active])
-    fit = ols(frame.values[p:], np.hstack(design))
+        xy.append(features[:, active])
+    xy.append(frame.values[p:])
+    fit = _factor(np.hstack(xy), 1 + k * p + n_active)
 
     coef = fit.coefficients
     const = coef[0]

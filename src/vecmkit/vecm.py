@@ -3,22 +3,25 @@ estimation, conversion to a levels VAR, and VECM forecasting.
 
 The model is dX_t = sum_i Gamma_i dX_{t-i} + Pi X_{t-1} + mu + e_t with an
 unrestricted constant and no trend or seasonal terms. The rank test
-concentrates out the lagged differences and the constant, forms the
-product-moment matrices S00, S01, S11 of the two residual sets, and solves
-S10 S00^-1 S01 v = lambda S11 v, symmetrized through the Cholesky factor of
-S11 so the eigenvalues are real.
+concentrates out the lagged differences and the constant, and solves
+S10 S00^-1 S01 v = lambda S11 v for the product moments S of the two
+residual sets. The eigenvalues are the squared canonical correlations of
+those residual sets, that is the squared cosines of the principal angles
+between the spaces they span (Björck & Golub 1973, Math. Comp. 27(123);
+Golub & Van Loan, Matrix Computations, 4th ed., 6.4.3). They are read off
+R, the triangular factor of [z2 | z0 | z1] from one QR, by one small QR
+and one K x K SVD; the S matrices are never formed, so the data are never
+squared into Gram matrices.
 
 The concentration is the costly part and depends only on the frame and the
 lag order, so it is kept for the last (frame, k), keyed by the frame's
 content (``Frame`` equality: start, names and every value bit for bit). It
-keeps the eigen step and R, the triangular factor of [z2 | z0 | z1] from
-its one QR. The rank test and every fit on one panel then share one
-concentration, and a fit factors no tall matrix of its own: its design
-[z2, z1 beta] and target z0 are Q times blocks of R, so the QR of those
-few rows (one per column of R) is a QR of [design | z0] (Golub & Van
-Loan, Matrix Computations, 5.3). The record is read-only, and the
-regressors a fit needs are rebuilt from the frame, so a reused result
-equals a fresh one bit for bit.
+keeps the eigen step, the array [z2 | z0 | z1] and its R. The rank test and
+every fit on one panel then share one concentration, and a fit builds and
+factors no tall matrix of its own: its design [z2, z1 beta] and target z0
+are Q times blocks of R, so the QR of those few rows (one per column of R)
+is a QR of [design | z0] (Golub & Van Loan, Matrix Computations, 5.3). The
+record is read-only, so a reused result equals a fresh one bit for bit.
 """
 
 from __future__ import annotations
@@ -29,14 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-    RankError,
-    SingularDesignError,
-)
-from .numerics import OlsFit, cholesky_lower, generalized_symmetric_eigen, ols
+from .errors import DomainError, InsufficientDataError, RankError, SingularDesignError
+from .numerics import PIVOT_TOL, OlsFit, _factor
 from .quarterly import Frame, QuarterIndex, _lag_blocks
 from .var import VarFit, forecast_var, freeze_arrays
 
@@ -90,9 +87,11 @@ class JohansenResult:
         return len(self.names)
 
 
-def _regressors(frame: Frame, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z0 = dX_t, z1 = X_{t-1} and z2 = [1, dX_{t-1} .. dX_{t-k+1}] over the
-    T - k usable rows, built from the frame's already validated values."""
+def _design(frame: Frame, k: int) -> np.ndarray:
+    """[z2 | z0 | z1] over the T - k usable rows, with z2 = [1, dX_{t-1} ..
+    dX_{t-k+1}], z0 = dX_t and z1 = X_{t-1}: one array, built once from the
+    frame's already validated values in the layout the concentration
+    factors."""
     n_vars = frame.n_columns
     t = len(frame)
     if k < 1:
@@ -103,44 +102,77 @@ def _regressors(frame: Frame, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             f"and {k} lags"
         )
     dx = np.diff(frame.values, axis=0)
-    z2 = np.hstack([np.ones((t - k, 1)), *_lag_blocks(dx, k - 1)])
-    return dx[k - 1 :], frame.values[k - 1 : t - 1], z2
+    return np.hstack(
+        [np.ones((t - k, 1)), *_lag_blocks(dx, k - 1), dx[k - 1 :], frame.values[k - 1 : t - 1]]
+    )
+
+
+def _split(xy: np.ndarray, n_vars: int) -> list[np.ndarray]:
+    """The z2, z0 and z1 column blocks, as views, of [z2 | z0 | z1] or of its R."""
+    n_z2 = xy.shape[1] - 2 * n_vars
+    return np.hsplit(xy, [n_z2, n_z2 + n_vars])
+
+
+def _regressors(frame: Frame, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z0, z1 and z2 as views of ``_design(frame, k)``."""
+    z2, z0, z1 = _split(_design(frame, k), frame.n_columns)
+    return z0, z1, z2
 
 
 class _Concentration(NamedTuple):
-    """The eigen step of the rank test and the factor it came from; every
-    array is read-only."""
+    """The eigen step of the rank test, the array it came from and that
+    array's factor; every array is read-only."""
 
     eigenvalues: np.ndarray  # (K,), descending, clipped to [0, 1)
     eigenvectors: np.ndarray  # K x K, columns aligned
     t_eff: int
-    r: np.ndarray  # R of [z2 | z0 | z1], (1 + K (k + 1)) columns
+    xy: np.ndarray  # [z2 | z0 | z1], T_eff x (1 + K (k + 1))
+    r: np.ndarray  # R of xy
 
 
 def _concentrate(frame: Frame, k: int) -> _Concentration:
     """Regress dX_t and X_{t-1} on the constant and the k-1 lagged
-    differences, take the product-moment matrices S00, S01, S11 of the two
-    residual sets, and solve the eigenproblem.
+    differences and solve the rank test's eigenproblem on the two residual
+    sets, all off R of the one array [z2 | z0 | z1].
 
-    The S matrices are the blocks of one fit's residual covariance, which
-    ``ols`` reads off its triangular factor, so no residuals are formed.
-    That factor, R of [z2 | z0 | z1], is kept for ``fit_vecm``."""
-    z0, z1, z2 = _regressors(frame, k)
-    t_eff, n_vars = z0.shape
-    fit = ols(np.hstack([z0, z1]), z2)
-    s = fit.sigma
-    s00, s01, s11 = s[:n_vars, :n_vars], s[:n_vars, n_vars:], s[n_vars:, n_vars:]
-
-    try:
-        l00 = cholesky_lower(s00)
-    except NotPositiveDefiniteError as exc:
-        raise SingularDesignError(f"S00 is singular (pivot {exc.pivot})") from exc
-    w = np.linalg.solve(l00, s01)  # so that S10 S00^-1 S01 = W'W
-    lam, vectors = generalized_symmetric_eigen(w.T @ w, s11)
-    lam = np.clip(lam, 0.0, _EIGENVALUE_CEIL)
+    Below z2's rows, R holds [R00 R01; 0 R11]: the residuals of z0 are
+    Q [R00; 0] and those of z1 are Q [R01; R11] for one orthonormal Q, so
+    with T_eff = T - k the product moments are S00 = R00'R00 / T_eff,
+    S01 = R00'R01 / T_eff and S11 = (R01'R01 + R11'R11) / T_eff, and none
+    is formed. With Q1 R1 the QR of [R01; R11] (2K x K, fewer rows when
+    T_eff is below the width of [z2 | z0 | z1]), the residual spaces have
+    the orthonormal bases Q [I; 0] and Q Q1, so the canonical correlations
+    are the singular values of Q1's first K rows, Q1[:K] = U diag(c) V'.
+    The eigenvalues are c^2 and the eigenvectors, normalized to
+    v' S11 v = 1, are sqrt(T_eff) R1^-1 V (Björck & Golub 1973). A pivot
+    R00[i, i]^2 / T_eff or R1[i, i]^2 / T_eff within PIVOT_TOL, the
+    Cholesky pivot test of S00 or S11, raises ``SingularDesignError``
+    naming i.
+    """
+    n_vars = frame.n_columns
+    xy = _design(frame, k)
+    t_eff = xy.shape[0]
+    n_z2 = xy.shape[1] - 2 * n_vars
+    fit = _factor(xy, n_z2)
+    below_z2 = fit.augmented_r[n_z2:, n_z2:]
+    r00, r1_block = below_z2[:n_vars, :n_vars], below_z2[:, n_vars:]
+    _require_pivots(np.diag(r00), t_eff, "S00")
+    q1, r1 = np.linalg.qr(r1_block)
+    _require_pivots(np.diag(r1), t_eff, "S11")
+    _, cosines, vt = np.linalg.svd(q1[:n_vars])
+    lam = np.clip(cosines**2, 0.0, _EIGENVALUE_CEIL)
+    vectors = np.sqrt(t_eff) * np.linalg.solve(r1, vt.T)
     for shared in (lam, vectors):
         shared.setflags(write=False)
-    return _Concentration(lam, vectors, t_eff, fit.augmented_r)
+    return _Concentration(lam, vectors, t_eff, xy, fit.augmented_r)
+
+
+def _require_pivots(diag: np.ndarray, t_eff: int, name: str) -> None:
+    """Raise when a pivot diag[i]^2 / T of the product moment R'R / T is
+    within PIVOT_TOL, naming the first such i."""
+    small = np.flatnonzero(diag**2 / t_eff <= PIVOT_TOL)
+    if small.size:
+        raise SingularDesignError(f"{name} is singular (pivot {small[0]})")
 
 
 @lru_cache(maxsize=1)
@@ -162,7 +194,8 @@ def johansen_trace(frame: Frame, k: int) -> JohansenResult:
     n_vars = frame.n_columns
     if n_vars not in TRACE_CRIT_5PCT:
         raise DomainError(f"no trace critical value for K - r = {n_vars}; table covers 1..12")
-    lam, _, t_eff, _ = _concentration(frame, k)
+    concentration = _concentration(frame, k)
+    lam, t_eff = concentration.eigenvalues, concentration.t_eff
     stats = trace_statistics(lam, t_eff)
     crit = np.array([TRACE_CRIT_5PCT[n_vars - r] for r in range(n_vars)])
     return JohansenResult(
@@ -223,7 +256,15 @@ class VecmFit:
 
 
 def _first_independent_rows(beta: np.ndarray, r: int) -> tuple[int, ...]:
-    """First (in row order) set of r rows of beta forming a nonsingular block."""
+    """First (in row order) set of r rows of beta forming a nonsingular block.
+
+    When the leading r rows have full rank, the greedy search below picks
+    exactly them: the singular values of a row subset interlace those of
+    the whole, and the rank tolerance shrinks with the largest singular
+    value, so every leading prefix has full rank too. One rank check
+    decides that common case."""
+    if np.linalg.matrix_rank(beta[:r]) == r:
+        return tuple(range(r))
     selected: list[int] = []
     for i in range(beta.shape[0]):
         candidate = beta[selected + [i], :]
@@ -253,7 +294,7 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
             "Use a VAR in differences for r=0 or a levels VAR for r=K."
         )
     concentration = _concentration(frame, k)
-    z0, z1, z2 = _regressors(frame, k)
+    z2, z0, z1 = _split(concentration.xy, n_vars)
     beta_raw = concentration.eigenvectors[:, :r]
     pivot = _first_independent_rows(beta_raw, r)
     beta = beta_raw @ np.linalg.inv(beta_raw[list(pivot), :])
@@ -261,7 +302,7 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
 
     # [1, dX lags, beta'X_{t-1} | dX_t], and the same columns in R's coordinates
     n_z2 = z2.shape[1]
-    r_z2, r_z0, r_z1 = np.hsplit(concentration.r, [n_z2, n_z2 + n_vars])
+    r_z2, r_z0, r_z1 = _split(concentration.r, n_vars)
     xy = np.hstack([z2, z1 @ beta, z0])
     r_xy = np.linalg.qr(np.hstack([r_z2, r_z1 @ beta, r_z0]), mode="r")
     for shared in (xy, r_xy):

@@ -153,6 +153,15 @@ class TestLmAutocorrelation:
         with pytest.raises(DegenerateInputError):
             lm_autocorrelation(u, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["residuals", "design"])
+    def test_non_finite_input_rejected(self, rng, bad, where):
+        u = rng.standard_normal((80, 2))
+        design = np.column_stack([np.ones(80), rng.standard_normal(80)])
+        (u if where == "residuals" else design)[40, 1] = bad
+        with pytest.raises(DomainError, match=f"{where} contain non-finite"):
+            lm_autocorrelation(u, 1, design)
+
     @pytest.mark.parametrize("lag", [1, 3])
     def test_one_factorization_matches_two_fits(self, rng, lag):
         u = rng.standard_normal((100, 3))
@@ -253,6 +262,13 @@ class TestAdf:
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateInputError):
             adf_test(np.full(60, 3.0), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, rng, bad):
+        y = np.cumsum(rng.standard_normal(60))
+        y[30] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            adf_test(y, 1)
 
     def test_bad_spec(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vecmkit as vk
@@ -17,13 +17,19 @@ from vecmkit import (
     vecm_to_levels_var,
 )
 from vecmkit import vecm
-from vecmkit.errors import InsufficientDataError, RankError
+from vecmkit.errors import InsufficientDataError, RankError, SingularDesignError
 from vecmkit.formatting import from_jsonable, to_jsonable
 from vecmkit.numerics import OlsFit, ols
 from vecmkit.quarterly import first_difference, lag_matrix
 from vecmkit.var import forecast_var, stability_moduli
 from vecmkit.diagnostics import lag_order_selection, lm_autocorrelation
-from vecmkit.vecm import _concentrate, _concentration, _regressors
+from vecmkit.vecm import (
+    _EIGENVALUE_CEIL,
+    _concentrate,
+    _concentration,
+    _first_independent_rows,
+    _regressors,
+)
 
 from conftest import make_frame, simulate_vecm, well_specified_vecm_fit
 
@@ -247,6 +253,97 @@ class TestConcentrationMoments:
         assert norm_rel(a @ vecs, s11 @ vecs * lam) <= 1e-9
 
 
+def principal_angle_eigenvalues(frame, k):
+    """Squared cosines of the principal angles between the spans of the
+    residuals of dX_t and of X_{t-1} on [1, dX lags], from explicit
+    least-squares residuals built here from the levels: QR of each residual
+    block, then the singular values of Q0'Q1."""
+    x, t = frame.values, len(frame)
+    dx = np.diff(x, axis=0)
+    z2 = np.column_stack([np.ones(t - k), *[dx[k - 1 - i : t - 1 - i] for i in range(1, k)]])
+    bases = []
+    for z in (dx[k - 1 :], x[k - 1 : t - 1]):
+        resid = z - z2 @ np.linalg.lstsq(z2, z, rcond=None)[0]
+        bases.append(np.linalg.qr(resid)[0])
+    cosines = np.linalg.svd(bases[0].T @ bases[1], compute_uv=False)
+    return np.clip(cosines**2, 0.0, _EIGENVALUE_CEIL)
+
+
+class TestPrincipalAngles:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.sampled_from([1, 2, 3, 4, 5, 12]),
+        k=st.integers(1, 4),
+        extra_rows=st.integers(0, 40),
+        collinear=st.sampled_from([None, 0.05, 0.1]),
+    )
+    @example(seed=0, n_vars=12, k=4, extra_rows=3, collinear=None)
+    @example(seed=1, n_vars=5, k=2, extra_rows=2, collinear=0.05)
+    @example(seed=2, n_vars=3, k=1, extra_rows=0, collinear=None)
+    @settings(max_examples=60)
+    def test_eigenvalues_are_squared_cosines(self, seed, n_vars, k, extra_rows, collinear):
+        """The eigenvalues read off R are the squared canonical
+        correlations. T - k runs from the fewest rows the rank test
+        accepts, where T - k is below the width of [z2 | z0 | z1] and R is
+        trapezoidal (extra_rows < K), upward. ``collinear`` makes the last
+        column the first plus a random walk with that step size; closer
+        columns are not checked here because the least-squares reference
+        itself then drifts past 1e-12 from a 50-digit evaluation."""
+        rng = np.random.default_rng(seed)
+        t = k + n_vars * k + 1 + extra_rows
+        x = np.cumsum(rng.standard_normal((t, n_vars)), axis=0)
+        if collinear is not None and n_vars > 1:
+            x[:, -1] = x[:, 0] + collinear * np.cumsum(rng.standard_normal(t))
+        frame = make_frame(x)
+        lam = _concentrate(frame, k).eigenvalues
+        want = principal_angle_eigenvalues(frame, k)
+        np.testing.assert_allclose(lam, want, rtol=0.0, atol=1e-12)
+
+
+class TestConcentrationErrors:
+    """A singular residual moment matrix raises ``SingularDesignError``
+    naming the pivot read off R; in every case here z2 has full rank."""
+
+    @staticmethod
+    def check(x, k, match):
+        frame = make_frame(x)
+        z2 = _regressors(frame, k)[2]
+        assert np.linalg.matrix_rank(z2) == z2.shape[1]
+        _concentration.cache_clear()
+        with pytest.raises(SingularDesignError, match=match):
+            johansen_trace(frame, k)
+        with pytest.raises(SingularDesignError, match=match):
+            fit_vecm(frame, k, 1)
+
+    def test_s00_exact_trend(self, rng):
+        # k = 1, z2 is the constant and dX_1 is constant
+        x = np.cumsum(rng.standard_normal((60, 3)), axis=0)
+        x[:, 0] = 2.0 + 0.5 * np.arange(60)
+        self.check(x, 1, r"S00 is singular \(pivot 0\)")
+
+    def test_s00_lagged_copy(self, rng):
+        # k = 2: x2 repeats x1 one quarter later, so dX2_t = dX1_{t-1} lies
+        # in z2 = [1, dX_{t-1}]
+        x = np.cumsum(rng.standard_normal((60, 3)), axis=0)
+        x[1:, 1] = x[:-1, 0] + 3.0
+        self.check(x, 2, r"S00 is singular \(pivot 1\)")
+
+    def test_s11_relation_until_last_row(self, rng):
+        # k = 1: x2 - x1 is constant on every row but the last, so the
+        # residuals of X_{t-1} are singular and those of dX_t are not
+        x = np.cumsum(rng.standard_normal((60, 3)), axis=0)
+        x[:-1, 1] = x[:-1, 0] + 5.0
+        self.check(x, 1, r"S11 is singular \(pivot 1\)")
+
+    def test_s11_level_in_lagged_differences(self, rng):
+        # k = 2: x1_{t-1} = 1 + dX2_{t-1} on every sample row, so X_{t-1}
+        # has a column in z2 = [1, dX_{t-1}]; the first and last rows of x1
+        # are free, which keeps dX_t's residuals nonsingular
+        x = np.cumsum(rng.standard_normal((60, 3)), axis=0)
+        x[1:-1, 0] = 1.0 + np.diff(x[:-1, 1])
+        self.check(x, 2, r"S11 is singular \(pivot 0\)")
+
+
 class TestCovarianceOnlyCallers:
     def test_no_coefficients_or_residuals(self, panel69, monkeypatch):
         """The lag search, the LM test and the trace test read residual
@@ -332,7 +429,8 @@ class TestConcentrationMemo:
         _concentration.cache_clear()
         trace = johansen_trace(panel69, 2)
         record = _concentration(panel69, 2)
-        for array in (record.eigenvalues, record.eigenvectors, record.r, trace.eigenvalues):
+        arrays = (record.eigenvalues, record.eigenvectors, record.xy, record.r, trace.eigenvalues)
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0.5
 
@@ -447,19 +545,22 @@ class TestFitVecm:
     @pytest.mark.parametrize("warm", [True, False])
     def test_one_least_squares_fit_per_panel(self, panel69, monkeypatch, warm):
         """A fit reads its regression off the concentration's factor, so a
-        cold rank test and fit, or a cold fit alone, call ``ols`` once."""
+        cold rank test and fit, or a cold fit alone, take one QR of a
+        panel-length matrix."""
         calls = []
+        real = np.linalg.qr
 
-        def spy(y, x):
-            calls.append(np.shape(x))
-            return ols(y, x)
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(vecm, "ols", spy)
+        monkeypatch.setattr(np.linalg, "qr", spy)
         _concentration.cache_clear()
         if warm:
             johansen_trace(panel69, 2)
         fit_vecm(panel69, 2, 2)
-        assert calls == [(67, 7)]  # the concentration's [1, dX_{t-1}]
+        # the concentration's [1, dX_{t-1} | dX_t | X_{t-1}]
+        assert [shape for shape in calls if shape[0] == 67] == [(67, 19)]
 
     def test_serialization_roundtrip(self, panel69):
         fit = fit_vecm(panel69, 2, 2)
@@ -487,6 +588,41 @@ def build_vecm_fit(alpha, beta, gammas, const, tail, names=None, sigma=None):
         n_sample=12 + lags,
         tail=np.asarray(tail, float),
     )
+
+
+def first_independent_rows_by_row(beta, r):
+    """The row-by-row search: one rank check per candidate row."""
+    selected = []
+    for i in range(beta.shape[0]):
+        if np.linalg.matrix_rank(beta[selected + [i], :]) == len(selected) + 1:
+            selected.append(i)
+            if len(selected) == r:
+                return tuple(selected)
+    raise SingularDesignError("cointegrating vectors do not have full column rank")
+
+
+class TestFirstIndependentRows:
+    @given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(2, 8), data=st.data())
+    @settings(max_examples=200)
+    def test_equals_row_by_row_search(self, seed, n_vars, data):
+        """Integer rows, some replaced by exact integer combinations of
+        earlier rows (zero rows included), so leading rows can be dependent
+        and the rank of every subset is exact."""
+        r = data.draw(st.integers(1, n_vars - 1), label="r")
+        dependent = data.draw(
+            st.lists(st.integers(0, n_vars - 1), unique=True, max_size=n_vars), label="dependent"
+        )
+        rng = np.random.default_rng(seed)
+        beta = rng.integers(-4, 5, size=(n_vars, r)).astype(float)
+        for i in sorted(dependent):
+            beta[i] = rng.integers(-2, 3, size=i) @ beta[:i]
+        try:
+            want = first_independent_rows_by_row(beta, r)
+        except SingularDesignError:
+            with pytest.raises(SingularDesignError):
+                _first_independent_rows(beta, r)
+        else:
+            assert _first_independent_rows(beta, r) == want
 
 
 class TestLevelsConversion:

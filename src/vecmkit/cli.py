@@ -231,7 +231,7 @@ def _cmd_describe(run: _Run) -> None:
 
 def _cmd_adf(run: _Run) -> None:
     config = run.config
-    results = {name: adf_test(run.frame.series(name), config.adf_lags, config.adf_spec) for name in run.frame.names}
+    results = {name: adf_test(run.frame.column(name), config.adf_lags, config.adf_spec) for name in run.frame.names}
     rows = [[n, r.statistic, *r.critical_values.values(), r.reject_5pct] for n, r in results.items()]
     _table(
         f"ADF tests (lags={config.adf_lags}, spec={config.adf_spec})",

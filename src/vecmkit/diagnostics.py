@@ -31,7 +31,7 @@ from .errors import (
     SingularDesignError,
 )
 from .numerics import LOG_2PI, _factor, chi_square_sf, cholesky_lower
-from .quarterly import Frame, Series, _lag_blocks
+from .quarterly import Frame, _lag_blocks
 from .vecm import VecmFit, vecm_to_levels_var
 from .var import stability_moduli
 
@@ -334,12 +334,13 @@ class AdfResult:
 
 
 def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
-    """Regress dy_t on y_{t-1}, lagged differences, and deterministic terms;
-    the statistic is the y_{t-1} coefficient over its standard error. The
-    regression is one least-squares fit, so a rank-deficient design (an
-    exact trend, say) raises ``SingularDesignError``, and an exact fit of the
-    differences raises ``DegenerateInputError``."""
-    y = series.values if isinstance(series, Series) else np.asarray(series, dtype=float)
+    """Regress dy_t, for the 1-D array-like ``series`` y, on y_{t-1}, lagged
+    differences, and deterministic terms; the statistic is the y_{t-1}
+    coefficient over its standard error. The regression is one
+    least-squares fit, so a rank-deficient design (an exact trend, say)
+    raises ``SingularDesignError``, and an exact fit of the differences
+    raises ``DegenerateInputError``."""
+    y = np.asarray(series, dtype=float)
     if y.ndim != 1:
         raise DomainError("ADF input must be a single series")
     if not np.all(np.isfinite(y)):

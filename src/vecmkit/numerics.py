@@ -19,10 +19,12 @@ copies them into one [X | Y] first.
 
 Cholesky factors come from LAPACK, one batched call for a (..., n, n)
 stack, so the log-determinants of many covariances (the lag search's, say)
-cost one call. Positive definiteness is decided by pivots exceeding 1e-12:
-when LAPACK fails or a slice's smallest pivot is within that tolerance, the
-column-by-column pivot search runs, slice by slice in order, to name the
-failing pivot. Symmetry is checked per slice at 1e-8 relative tolerance.
+cost one call. Positive definiteness is decided by pivots exceeding 1e-12,
+and every failure takes one path: the slices LAPACK leaves in doubt (all of
+them when it fails, else those whose smallest pivot is within that
+tolerance) go, in order, through one column-by-column pivot search, which
+names the first failing slice and pivot. Symmetry is checked per slice at
+1e-8 relative tolerance.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ class OlsFit:
 
     R may come from any Q with orthonormal columns such that [X | Y] = Q R,
     not only from ``_factor``'s own QR: the blocks above hold for every such R.
+    The fit marks the [X | Y] and R it is given read-only.
     """
 
     def __init__(self, xy: np.ndarray, r: np.ndarray, n_x: int, m: int):
@@ -102,8 +105,8 @@ class OlsFit:
             raise SingularDesignError(
                 f"design matrix is rank deficient (column pivot {int(diag.argmin())})"
             )
-        self._xy = xy  # [X | Y], read-only
-        self._r = r  # R of the QR of [X | Y], read-only
+        self._xy = _read_only(xy)  # [X | Y]
+        self._r = _read_only(r)  # R of the QR of [X | Y]
         self._n_x = n_x  # columns of X in [X | Y]
         self._m = m  # regressors of this fit: the first m columns of X
 
@@ -182,13 +185,13 @@ def _factor(xy: np.ndarray, n_x: int) -> OlsFit:
     factor step behind every least-squares fit.
 
     ``xy`` is a finite float [X | Y] that the caller built for this fit and
-    hands over: it is marked read-only and kept, not copied. Raises on too
-    few rows and on rank deficiency.
+    hands over: it is kept, not copied, and the ``OlsFit`` marks it
+    read-only. Raises on too few rows and on rank deficiency.
     """
     t = xy.shape[0]
     if t <= n_x:
         raise InsufficientDataError(f"need more observations ({t}) than regressors ({n_x})")
-    return OlsFit(_read_only(xy), _read_only(np.linalg.qr(xy, mode="r")), n_x, n_x)
+    return OlsFit(xy, np.linalg.qr(xy, mode="r"), n_x, n_x)
 
 
 def ols(y, x) -> OlsFit:
@@ -210,36 +213,27 @@ def ols(y, x) -> OlsFit:
 def cholesky_lower(a) -> np.ndarray:
     """Lower-triangular L with L L' = A; reports the failing pivot otherwise.
 
-    A may be a (..., n, n) stack, factored by one batched LAPACK call; each
-    slice of the result equals a call on that slice alone. Only when LAPACK
-    fails, or when a slice's smallest pivot diag(L)^2 is within PIVOT_TOL,
-    does the pivot search below run, slice by slice in order, so a rejected
-    input names the same pivot whichever way it was found, and a stack
-    names its first failing slice.
+    A may be a (..., n, n) stack, factored by one batched LAPACK call; when
+    no slice is flagged, each slice of the result equals a call on that
+    slice alone. Every failure takes one path. When LAPACK fails, every
+    slice is flagged, since it does not say which one failed; otherwise a
+    slice is flagged when its smallest pivot diag(L)^2 is within PIVOT_TOL.
+    The flagged slices go, in order, through the pivot search below, which
+    factors each or raises, so a rejected input names the same pivot
+    whichever way it was found, and a stack names its first failing slice.
     """
     a = _require_symmetric(_as_matrix(a, "A", stacked=True), "A")
     try:
-        return _pivots_checked(np.linalg.cholesky(a), a)
+        lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        pass
-    # LAPACK does not say which slice failed, so each is factored alone
-    lower = np.empty_like(a)
-    for at in np.ndindex(a.shape[:-2]):
-        try:
-            lower[at] = _pivots_checked(np.linalg.cholesky(a[at]), a[at], at)
-        except np.linalg.LinAlgError:
+        lower, flagged = np.empty_like(a), np.ones(a.shape[:-2], dtype=bool)
+    else:
+        flagged = lower.diagonal(0, -2, -1).min(axis=-1) ** 2 <= PIVOT_TOL
+        if not flagged.any():
+            return lower
+    for at in np.ndindex(flagged.shape):
+        if flagged[at]:
             lower[at] = _cholesky_pivots(a[at], at)
-    return lower
-
-
-def _pivots_checked(lower: np.ndarray, a: np.ndarray, at: tuple = ()) -> np.ndarray:
-    """``lower`` after the pivot search has rerun, in order, every slice
-    whose smallest pivot is within PIVOT_TOL; ``at`` locates ``a`` in a stack."""
-    small = lower.diagonal(0, -2, -1).min(axis=-1) ** 2 <= PIVOT_TOL
-    if small.any():
-        for index in np.ndindex(small.shape):
-            if small[index]:
-                lower[index] = _cholesky_pivots(a[index], at + index)
     return lower
 
 

@@ -113,12 +113,6 @@ def _split(xy: np.ndarray, n_vars: int) -> list[np.ndarray]:
     return np.hsplit(xy, [n_z2, n_z2 + n_vars])
 
 
-def _regressors(frame: Frame, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z0, z1 and z2 as views of ``_design(frame, k)``."""
-    z2, z0, z1 = _split(_design(frame, k), frame.n_columns)
-    return z0, z1, z2
-
-
 class _Concentration(NamedTuple):
     """The eigen step of the rank test, the array it came from and that
     array's factor; every array is read-only."""
@@ -305,8 +299,6 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
     r_z2, r_z0, r_z1 = _split(concentration.r, n_vars)
     xy = np.hstack([z2, z1 @ beta, z0])
     r_xy = np.linalg.qr(np.hstack([r_z2, r_z1 @ beta, r_z0]), mode="r")
-    for shared in (xy, r_xy):
-        shared.setflags(write=False)
     fit = OlsFit(xy, r_xy, n_z2 + r, n_z2 + r)
     coef = fit.coefficients
     const = coef[0].copy()

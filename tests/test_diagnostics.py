@@ -315,9 +315,11 @@ class TestAdf:
         res = adf_test(x, 1)
         assert res.reject_5pct == (res.statistic < res.critical_values[5])
 
-    def test_accepts_series_objects(self, panel69):
-        res = adf_test(panel69.series("employment"), 4)
+    def test_accepts_a_frame_column(self, panel69):
+        column = panel69.column("employment")
+        res = adf_test(column, 4)
         assert res.lags == 4 and res.spec == "constant"
+        assert res == adf_test(np.array(column), 4)
 
     def test_trend_spec_runs(self):
         rng = np.random.default_rng(14)

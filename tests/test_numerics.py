@@ -22,6 +22,7 @@ from vecmkit.errors import (
     NotPositiveDefiniteError,
     SingularDesignError,
 )
+from vecmkit.numerics import OlsFit
 
 from conftest import random_spd
 
@@ -121,6 +122,14 @@ class TestOls:
             for array in (fit_.sigma, fit_.coefficients, fit_.residuals, fit_.r):
                 with pytest.raises(ValueError):
                     array[:] = 4 * array
+
+    def test_fit_built_on_writable_arrays_makes_them_read_only(self, rng):
+        xy = rng.standard_normal((50, 6))
+        r = np.linalg.qr(xy, mode="r")
+        fit = OlsFit(xy, r, 4, 4)
+        for array in (xy, r, fit.augmented_r):
+            with pytest.raises(ValueError):
+                array[:] = 4 * array
 
 
 def assert_rel(got, want, rel):
@@ -230,6 +239,12 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_lower(np.diag([2.0, 1.0, -1.0]))
         assert err.value.pivot == 2
+
+    def test_healthy_input_is_lapacks_factor(self, rng):
+        single = random_spd(rng, 6)
+        stack = np.stack([random_spd(rng, 12) for _ in range(7)])
+        for a in (0.5 * (single + single.T), 0.5 * (stack + np.swapaxes(stack, -1, -2))):
+            assert cholesky_lower(a).tobytes() == np.linalg.cholesky(a).tobytes()
 
     def test_pivot_within_tolerance_rejected(self):
         # LAPACK factors this matrix; the PIVOT_TOL test still rejects it

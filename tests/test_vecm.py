@@ -27,8 +27,9 @@ from vecmkit.vecm import (
     _EIGENVALUE_CEIL,
     _concentrate,
     _concentration,
+    _design,
     _first_independent_rows,
-    _regressors,
+    _split,
 )
 
 from conftest import make_frame, simulate_vecm, well_specified_vecm_fit
@@ -198,7 +199,7 @@ class TestRegressors:
         t = len(panel69)
         d_frame = first_difference(panel69)
         z2_old = np.hstack([np.ones((t - k, 1)), lag_matrix(d_frame.values, k - 1)])
-        z0, z1, z2 = _regressors(panel69, k)
+        z2, z0, z1 = _split(_design(panel69, k), panel69.n_columns)
         assert z0.tobytes() == d_frame.values[k - 1 :].tobytes()
         assert z1.tobytes() == panel69.values[k - 1 : t - 1].tobytes()
         assert z2.shape == z2_old.shape
@@ -215,7 +216,7 @@ def fit_fields(fit):
 def residual_moments(frame, k):
     """S00, S01, S11 from explicit residuals of dX_t and X_{t-1} on z2,
     fitted by a separate least-squares solve."""
-    z0, z1, z2 = _regressors(frame, k)
+    z2, z0, z1 = _split(_design(frame, k), frame.n_columns)
     n_vars = z0.shape[1]
     targets = np.hstack([z0, z1])
     coef, *_ = np.linalg.lstsq(z2, targets, rcond=None)
@@ -235,7 +236,7 @@ class TestConcentrationMoments:
     def test_match_residual_products(self, seed, n_vars, k):
         rng = np.random.default_rng(seed)
         frame = make_frame(np.cumsum(rng.standard_normal((80, n_vars)), axis=0))
-        z0, z1, z2 = _regressors(frame, k)
+        z2, z0, z1 = _split(_design(frame, k), frame.n_columns)
         s = ols(np.hstack([z0, z1]), z2).sigma
         s00, s01, s11 = residual_moments(frame, k)
         assert norm_rel(s[:n_vars, :n_vars], s00) <= 1e-10
@@ -307,7 +308,7 @@ class TestConcentrationErrors:
     @staticmethod
     def check(x, k, match):
         frame = make_frame(x)
-        z2 = _regressors(frame, k)[2]
+        z2 = _split(_design(frame, k), frame.n_columns)[0]
         assert np.linalg.matrix_rank(z2) == z2.shape[1]
         _concentration.cache_clear()
         with pytest.raises(SingularDesignError, match=match):

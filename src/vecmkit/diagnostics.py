@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularDesignError,
 )
-from .numerics import LOG_2PI, _factor, chi_square_sf, cholesky_lower
+from .numerics import LOG_2PI, _as_finite, _factor, chi_square_sf, cholesky_lower
 from .quarterly import Frame, _lag_blocks
 from .vecm import VecmFit, vecm_to_levels_var
 from .var import stability_moduli
@@ -182,21 +182,16 @@ def lm_autocorrelation(
     residuals with a singular covariance are reported as degenerate, as a
     separate fit would report them.
     """
-    u = np.asarray(residuals, dtype=float)
-    if u.ndim != 2:
-        raise DomainError(f"residuals must be T x K, got shape {u.shape}")
+    u = _as_finite(residuals, "residuals")
     t, k = u.shape
     if lag < 1:
         raise DomainError(f"lag must be >= 1, got {lag}")
     if t <= lag + k + 1:
         raise InsufficientDataError(f"{t} residual rows are too few for lag {lag}")
 
-    base = np.ones((t, 1)) if design is None else np.asarray(design, dtype=float)
-    if base.ndim != 2 or base.shape[0] != t:
+    base = np.ones((t, 1)) if design is None else _as_finite(design, "design")
+    if base.shape[0] != t:
         raise DomainError("design must have one row per residual row")
-    for name, a in (("residuals", u), ("design", base)):
-        if not np.all(np.isfinite(a)):
-            raise DomainError(f"{name} contain non-finite entries")
     # [base, residuals lagged with zero-filled initial rows | residuals]
     n_base = base.shape[1]
     m = n_base + k
@@ -259,9 +254,11 @@ def normality_suite(
     centered then orthogonalized through the Cholesky factor of their ML
     covariance; the joint statistics sum across the K equations, on K
     degrees of freedom (2K for JB)."""
-    u = np.asarray(residuals, dtype=float)
+    u = _as_finite(residuals, "residuals", ndim=1, stacked=True)
     if u.ndim == 1:
         u = u.reshape(-1, 1)
+    elif u.ndim > 2:
+        raise DomainError(f"residuals must be T x K, got shape {u.shape}")
     t, k = u.shape
     n = t if n_eff is None else int(n_eff)
     if n < 8:
@@ -340,11 +337,7 @@ def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
     least-squares fit, so a rank-deficient design (an exact trend, say)
     raises ``SingularDesignError``, and an exact fit of the differences
     raises ``DegenerateInputError``."""
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise DomainError("ADF input must be a single series")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("ADF input contains non-finite entries")
+    y = _as_finite(series, "series", ndim=1)
     if lags < 0:
         raise DomainError(f"lags must be >= 0, got {lags}")
     if spec not in ADF_CRITICAL_VALUES:

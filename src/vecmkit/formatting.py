@@ -27,6 +27,7 @@ from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .numerics import _as_finite
 from .quarterly import QUARTER_COLUMN, Frame, QuarterIndex, parse_quarter
 
 
@@ -34,8 +35,6 @@ def sig6(x: float) -> str:
     """Format at 6 significant digits, plain decimal where reasonable."""
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(x)
     if not math.isfinite(x):
         return str(x)
     if x == 0:
@@ -90,7 +89,8 @@ def from_jsonable(cls, payload: dict):
     ``payload``. Each field is decoded by its annotation: an array, a tuple
     (of arrays or of plain values), a quarter, or an Optional of one of
     these; any other field is taken as JSON gives it. Keys that are not
-    fields are ignored."""
+    fields are ignored. An array that is not numeric or not finite raises
+    ``DomainError``, as every array from outside does."""
     hints = get_type_hints(cls)
     return cls(**{f.name: _decode(hints[f.name], payload[f.name]) for f in fields(cls)})
 
@@ -102,7 +102,7 @@ def _decode(kind, value):
     if type(None) in args:  # X | None
         return _decode(next(a for a in args if a is not type(None)), value)
     if kind is np.ndarray:
-        return np.array(value, dtype=float)
+        return _as_finite(value, "artifact array", ndim=0, stacked=True)  # any shape
     if kind is QuarterIndex:
         return parse_quarter(value)
     if get_origin(kind) is tuple:

@@ -25,6 +25,13 @@ them when it fails, else those whose smallest pivot is within that
 tolerance) go, in order, through one column-by-column pivot search, which
 names the first failing slice and pivot. Symmetry is checked per slice at
 1e-8 relative tolerance.
+
+Every array from outside the program comes in through one converter,
+``_as_finite``: the public functions here, the residual diagnostics, the
+ADF test, the trace statistics and the artifact decoder all take their
+array arguments through it, so non-numeric, non-finite or misshapen input
+raises ``DomainError`` naming the argument. (``quarterly``'s frames keep
+their own ``NonNumericCellError`` family.)
 """
 
 from __future__ import annotations
@@ -48,11 +55,16 @@ PIVOT_TOL = 1e-12
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _as_matrix(a, name: str, stacked: bool = False) -> np.ndarray:
-    """``a`` as a finite float matrix, or a (..., n, n) stack when ``stacked``."""
-    out = np.asarray(a, dtype=float)
-    if out.ndim != 2 and not (stacked and out.ndim > 2):
-        raise DomainError(f"{name} must be 2-dimensional, got shape {out.shape}")
+def _as_finite(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray:
+    """``a`` as a finite float array of ``ndim`` dimensions, or of more when
+    ``stacked`` (a (..., n, n) stack of matrices, say): the one way in for
+    arrays from outside, so bad input raises ``DomainError`` naming ``name``."""
+    try:
+        out = np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be numeric") from None
+    if out.ndim != ndim and not (stacked and out.ndim > ndim):
+        raise DomainError(f"{name} must be {ndim}-dimensional, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise DomainError(f"{name} contains non-finite entries")
     return out
@@ -203,8 +215,8 @@ def ols(y, x) -> OlsFit:
     to the caller's arrays change nothing. ``fit.leading(m)`` gives the fit
     on the first m regressors without factoring again.
     """
-    y = _as_matrix(y, "Y")
-    x = _as_matrix(x, "X")
+    y = _as_finite(y, "Y")
+    x = _as_finite(x, "X")
     if y.shape[0] != x.shape[0]:
         raise DomainError(f"Y has {y.shape[0]} rows but X has {x.shape[0]}")
     return _factor(np.hstack([x, y]), x.shape[1])
@@ -222,7 +234,7 @@ def cholesky_lower(a) -> np.ndarray:
     factors each or raises, so a rejected input names the same pivot
     whichever way it was found, and a stack names its first failing slice.
     """
-    a = _require_symmetric(_as_matrix(a, "A", stacked=True), "A")
+    a = _require_symmetric(_as_finite(a, "A", stacked=True), "A")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -263,8 +275,8 @@ def generalized_symmetric_eigen(a, b) -> tuple[np.ndarray, np.ndarray]:
     ``(eigenvalues, eigenvectors)``: the eigenvalues in descending order and
     the n x n eigenvectors as columns aligned with them.
     """
-    a = _require_symmetric(_as_matrix(a, "A"), "A")
-    b = _as_matrix(b, "B")
+    a = _require_symmetric(_as_finite(a, "A"), "A")
+    b = _as_finite(b, "B")
     if a.shape != b.shape:
         raise DomainError(f"A {a.shape} and B {b.shape} must have equal shape")
     lower = cholesky_lower(b)
@@ -290,7 +302,7 @@ def log_det(a) -> float | np.ndarray:
 
 def eigen_moduli(a) -> np.ndarray:
     """Moduli of all (possibly complex) eigenvalues, descending."""
-    a = _as_matrix(a, "A")
+    a = _as_finite(a, "A")
     if a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix must be square, got shape {a.shape}")
     return np.sort(np.abs(np.linalg.eigvals(a)))[::-1]

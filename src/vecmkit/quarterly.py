@@ -83,8 +83,13 @@ def parse_quarter(text: str) -> QuarterIndex:
     return QuarterIndex(int(m.group(1)), int(m.group(2)))
 
 
-def _as_readonly(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float)
+def _as_readonly(values) -> np.ndarray:
+    """A read-only float copy of ``values``: the one conversion of the
+    values a ``Series`` or ``Frame`` is built from."""
+    try:
+        out = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise NonNumericCellError("values must be numeric") from None
     if not np.all(np.isfinite(out)):
         raise NonNumericCellError("values must be finite (no NaN/inf)")
     out.setflags(write=False)
@@ -131,7 +136,7 @@ class Series(_Quarterly):
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _as_readonly(np.atleast_1d(np.asarray(self.values, dtype=float)))
+        vals = np.atleast_1d(_as_readonly(self.values))
         if vals.ndim != 1 or vals.size < 1:
             raise EmptyInputError(f"series {self.name!r} must hold at least one value")
         object.__setattr__(self, "values", vals)
@@ -146,7 +151,7 @@ class Frame(_Quarterly):
     values: np.ndarray  # T x K, read-only
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = _as_readonly(self.values)
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
             raise EmptyInputError("frame must be a nonempty T x K panel")
         if len(self.names) != vals.shape[1]:
@@ -156,7 +161,7 @@ class Frame(_Quarterly):
         if len(set(self.names)) != len(self.names):
             raise MissingColumnError("column names must be unique")
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "values", _as_readonly(vals))
+        object.__setattr__(self, "values", vals)
 
     @property
     def n_columns(self) -> int:
@@ -254,7 +259,7 @@ def _parse_frame_csv(fh, schema: Sequence[str], source: str) -> Frame:
 
     if not rows:
         raise EmptyInputError(f"{source}: no data rows")
-    return Frame(quarters[0], tuple(schema), np.array(rows, dtype=float))
+    return Frame(quarters[0], tuple(schema), rows)
 
 
 def first_difference(frame: Frame) -> Frame:

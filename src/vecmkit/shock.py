@@ -123,6 +123,11 @@ def _stage(n: int, fn, *args, **kwargs):
         raise PipelineStageError(n, exc) from exc
 
 
+def _span(frame: Frame) -> dict:
+    """A stage's sample range and row count, as the audit records them."""
+    return {"sample": [str(frame.start), str(frame.end)], "n_rows": len(frame)}
+
+
 class _FrameStages(NamedTuple):
     """The shock-independent part of a run; every field is immutable."""
 
@@ -221,15 +226,11 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
     path = Frame(forecast_start, (target,), d_spliced[len(d_frame) :, None])
     stage2_forecast = _stage(2, forecast_var, fit2, horizon, exog_path=path)
 
-    # Stage 3: splice differenced in-sample rows with stage-2 forecasts,
-    # target endogenous again, and read IRFs off the refitted VAR.
-    columns = []
-    for name in frame.names:
-        if name == target:
-            columns.append(d_spliced)
-        else:
-            columns.append(np.concatenate([d_frame.column(name), stage2_forecast.column(name)]))
-    stage3_frame = Frame(d_frame.start, frame.names, np.column_stack(columns))
+    # Stage 3: the differenced in-sample rows, then the stage-2 forecasts
+    # with the spliced path back in the target's column; the target is
+    # endogenous again, and the IRFs are read off the refitted VAR.
+    rows = np.insert(stage2_forecast.values, frame.names.index(target), path.values[:, 0], axis=1)
+    stage3_frame = Frame(d_frame.start, frame.names, np.vstack([d_frame.values, rows]))
     fit3 = _stage(3, fit_var, stage3_frame, p3)
     irfs = _stage(3, orthogonalized_irfs, fit3, horizon, target)
 
@@ -237,8 +238,7 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
         "lag_order_source": stages.lag_source,
         "stage1": {
             "scale": "levels",
-            "sample": [str(frame.start), str(frame.end)],
-            "n_rows": len(frame),
+            **_span(frame),
             "vecm_lags": scenario.vecm_lags,
             "rank": scenario.rank,
             "residual_rows": stages.residual_rows,
@@ -246,8 +246,7 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
         },
         "stage2": {
             "scale": "differences",
-            "sample": [str(d_frame.start), str(d_frame.end)],
-            "n_rows": len(d_frame),
+            **_span(d_frame),
             "lag_order": p2,
             "rows_used": len(d_frame) - p2,
             "exogenous": [target],
@@ -256,8 +255,7 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
         },
         "stage3": {
             "scale": "differences",
-            "sample": [str(stage3_frame.start), str(stage3_frame.end)],
-            "n_rows": len(stage3_frame),
+            **_span(stage3_frame),
             "lag_order": p3,
             "rows_used": len(stage3_frame) - p3,
             "row_provenance": {

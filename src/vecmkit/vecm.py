@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, RankError, SingularDesignError
-from .numerics import PIVOT_TOL, OlsFit, _factor
+from .numerics import PIVOT_TOL, OlsFit, _as_finite, _factor
 from .quarterly import Frame, QuarterIndex, _lag_blocks
 from .var import VarFit, forecast_var, freeze_arrays
 
@@ -61,7 +61,7 @@ _EIGENVALUE_CEIL = 1.0 - 1e-12
 
 def trace_statistics(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:
     """trace_r = -T_eff * sum_{i>r} ln(1 - lambda_i) for r = 0..K-1."""
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam = _as_finite(eigenvalues, "eigenvalues", ndim=1)
     if np.any(lam < 0) or np.any(lam >= 1):
         raise DomainError("eigenvalues must lie in [0, 1)")
     tail = -t_eff * np.cumsum(np.log1p(-lam)[::-1])[::-1]

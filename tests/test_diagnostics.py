@@ -159,7 +159,7 @@ class TestLmAutocorrelation:
         u = rng.standard_normal((80, 2))
         design = np.column_stack([np.ones(80), rng.standard_normal(80)])
         (u if where == "residuals" else design)[40, 1] = bad
-        with pytest.raises(DomainError, match=f"{where} contain non-finite"):
+        with pytest.raises(DomainError, match=f"^{where} contains non-finite entries$"):
             lm_autocorrelation(u, 1, design)
 
     @pytest.mark.parametrize("lag", [1, 3])

@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vecmkit as vk
 from vecmkit import (
     chi_square_sf,
     cholesky_lower,
@@ -19,9 +20,12 @@ from vecmkit.errors import (
     DegenerateInputError,
     DomainError,
     InsufficientDataError,
+    NonNumericCellError,
     NotPositiveDefiniteError,
     SingularDesignError,
+    VecmkitError,
 )
+from vecmkit.formatting import from_jsonable
 from vecmkit.numerics import OlsFit
 
 from conftest import random_spd
@@ -430,3 +434,82 @@ class TestEigenModuli:
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
             eigen_moduli(np.ones((2, 3)))
+
+
+def _outside_inputs():
+    """Each public entry point that takes an array from outside: the call,
+    a valid input for it, the error a bad input raises and the name the
+    message gives that input."""
+    rng = np.random.default_rng(3)
+    y, x = rng.standard_normal((20, 2)), np.column_stack([np.ones(20), np.arange(20.0)])
+    spd = random_spd(rng, 3)
+    u = rng.standard_normal((80, 2))
+    design = np.column_stack([np.ones(80), rng.standard_normal(80)])
+    start = vk.parse_quarter("2001Q1")
+    return {
+        "ols Y": (lambda a: ols(a, x), y, DomainError, "Y"),
+        "ols X": (lambda a: ols(y, a), x, DomainError, "X"),
+        "cholesky_lower": (cholesky_lower, spd, DomainError, "A"),
+        "log_det": (log_det, spd, DomainError, "A"),
+        "generalized_symmetric_eigen A": (
+            lambda a: generalized_symmetric_eigen(a, spd), spd, DomainError, "A"
+        ),
+        "generalized_symmetric_eigen B": (
+            lambda a: generalized_symmetric_eigen(spd, a), spd, DomainError, "B"
+        ),
+        "eigen_moduli": (eigen_moduli, spd, DomainError, "A"),
+        "lm_autocorrelation residuals": (
+            lambda a: vk.lm_autocorrelation(a, 1, design), u, DomainError, "residuals"
+        ),
+        "lm_autocorrelation design": (
+            lambda a: vk.lm_autocorrelation(u, 1, a), design, DomainError, "design"
+        ),
+        "normality_suite": (vk.normality_suite, u, DomainError, "residuals"),
+        "adf_test": (lambda a: vk.adf_test(a, 1), np.cumsum(u[:, 0]), DomainError, "series"),
+        "trace_statistics": (
+            lambda a: vk.trace_statistics(a, 10), np.array([0.5, 0.1]), DomainError, "eigenvalues"
+        ),
+        "from_jsonable": (
+            lambda a: from_jsonable(
+                vk.StabilityReport,
+                {"moduli": a.tolist(), "unit_count": 1, "expected_unit_count": 1, "passed": True},
+            ),
+            np.array([1.0, 0.5]),
+            DomainError,
+            "artifact array",
+        ),
+        "Frame": (lambda a: vk.Frame(start, ("a", "b"), a), u, NonNumericCellError, "values"),
+        "Series": (lambda a: vk.Series("s", start, a), u[:, 0], NonNumericCellError, "values"),
+    }
+
+
+class TestOutsideArrays:
+    """Every array from outside goes through one converter, so a bad cell
+    raises a typed error naming the input, never numpy's own."""
+
+    @pytest.mark.parametrize("cell", ["a", np.nan])
+    @pytest.mark.parametrize("entry", sorted(_outside_inputs()))
+    def test_bad_cell_raises_typed_error(self, entry, cell):
+        call, good, error, name = _outside_inputs()[entry]
+        call(good)  # the valid input passes
+        bad = good.astype(object)
+        bad.flat[1] = cell
+        with pytest.raises(error, match=f"^{name} ") as err:
+            call(bad)
+        assert isinstance(err.value, VecmkitError)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ols([["a"]], [[1.0]]),
+            lambda: cholesky_lower(object()),
+            lambda: eigen_moduli([[1.0, 2.0], [3.0]]),
+            lambda: vk.adf_test(vk.Series("p", vk.parse_quarter("2001Q1"), np.arange(20.0)), 2),
+            lambda: vk.trace_statistics([np.nan, 0.1], 10),
+            lambda: vk.normality_suite(np.ones((10, 2, 2))),
+        ],
+        ids=["string cell", "object", "ragged", "series object", "nan eigenvalue", "3-d residuals"],
+    )
+    def test_non_array_input_raises_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()

@@ -1,4 +1,4 @@
-"""Accuracy of fit_vecm's regression against an iteratively refined reference.
+"""Accuracy of fit_vecm's regression and of the VAR recursion it feeds.
 
 Two shapes, both from the benchmark's seeded generators: the study shape
 (69x6 panels, k=2, r=2) and the rolling shape (expanding windows of 800x12
@@ -12,6 +12,15 @@ than the fit). Per shape it prints, per coefficient block (alpha, each
 Gamma_i, the constant), the median and the worst over the frames of the
 fit's largest error relative to the block's largest reference entry, and
 the median and the worst over all blocks.
+
+On the study panels it also checks the two propagations of each fit's
+levels VAR (``vecm_to_levels_var``) over HORIZON steps: ``forecast_vecm``
+and the orthogonalized MA stack Phi_h P that ``orthogonalized_irfs``
+slices, each against the same fit's recursion run as a per-lag loop in
+np.longdouble (P, the fit's Cholesky factor, is shared). It prints the
+median and the worst over the panels of the largest error relative to the
+largest reference entry, and exits 1 when either worst exceeds
+RECURSION_BOUND.
 
     python3 scripts/vecm_accuracy.py [--panels 200] [--origins 100] [--seed 1]
 
@@ -38,6 +47,8 @@ STUDY_LAGS, STUDY_RANK = 2, 2
 ROLLING_LAGS, ROLLING_RANK = 4, 4
 ROLLING_PANELS = 4
 ROLLING_ORIGINS = range(400, 793)
+HORIZON = 20
+RECURSION_BOUND = 1e-13
 
 
 def refined_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,6 +89,44 @@ def block_errors(frame: vk.Frame, lags: int, rank: int) -> dict[str, float]:
     }
 
 
+def extended_recursion(var: vk.VarFit, start: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """y_h = drive_h + sum_i A_i y_{h-i}, one lag at a time in np.longdouble,
+    from the p rows of ``start`` (oldest first); rows are vectors or blocks."""
+    mats = [a.astype(np.longdouble) for a in var.coef_matrices]
+    history = list(start.astype(np.longdouble))
+    for step in drive.astype(np.longdouble):
+        y = step.copy()
+        for i, a in enumerate(mats, start=1):
+            y += a @ history[-i]
+        history.append(y)
+    return np.array(history[var.p :])
+
+
+def recursion_errors(frame: vk.Frame) -> dict[str, float]:
+    """Largest error of the forecast and of the Phi_h P stack, relative to
+    the largest entry of its extended-precision reference."""
+    fit = vk.fit_vecm(frame, STUDY_LAGS, STUDY_RANK)
+    var = vk.vecm_to_levels_var(fit)
+    k = var.n_vars
+    forecast = vk.forecast_vecm(fit, HORIZON).values
+    want_forecast = extended_recursion(var, var.tail, np.tile(var.const, (HORIZON, 1)))
+    stack = np.empty((HORIZON + 1, k, k))
+    for i, impulse in enumerate(var.names):
+        for j, irf in enumerate(vk.orthogonalized_irfs(var, HORIZON, impulse).values()):
+            stack[:, j, i] = irf.values
+    impulse = np.zeros((HORIZON + 1, k, k))
+    impulse[0] = np.eye(k)
+    phis = extended_recursion(var, np.zeros((var.p, k, k)), impulse)
+    want_stack = phis @ vk.cholesky_lower(var.sigma).astype(np.longdouble)
+    return {
+        name: float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        for name, got, want in (
+            ("forecast", forecast, want_forecast),
+            ("phi_p", stack, want_stack),
+        )
+    }
+
+
 def rolling_frames(seed: int, n: int) -> list[vk.Frame]:
     """n expanding windows, cycling over ROLLING_PANELS panels, each ending
     at a seeded origin drawn from ROLLING_ORIGINS."""
@@ -86,14 +135,16 @@ def rolling_frames(seed: int, n: int) -> list[vk.Frame]:
     return [panels[i % ROLLING_PANELS].head(int(o)) for i, o in enumerate(origins)]
 
 
-def report(title: str, frames: list[vk.Frame], lags: int, rank: int) -> None:
-    errors = [block_errors(frame, lags, rank) for frame in frames]
+def report(title: str, errors: list[dict[str, float]]) -> float:
+    """Print the median and the worst error of each block and of all
+    blocks over the frames; return the worst."""
     print(f"{title}: block, median and worst relative error")
     for name in errors[0]:
         column = [e[name] for e in errors]
         print(f"{name:8s} {np.median(column):.2e} {max(column):.2e}")
     every = [v for e in errors for v in e.values()]
     print(f"all      {np.median(every):.2e} {max(every):.2e}")
+    return max(every)
 
 
 def main(argv=None) -> int:
@@ -102,19 +153,25 @@ def main(argv=None) -> int:
     parser.add_argument("--origins", type=int, default=100, help="rolling origins")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    study = inputs.study_pool(args.seed, args.panels)
     report(
         f"study, {args.panels} 69x6 panels (k={STUDY_LAGS}, r={STUDY_RANK}, seed {args.seed})",
-        inputs.study_pool(args.seed, args.panels),
-        STUDY_LAGS,
-        STUDY_RANK,
+        [block_errors(frame, STUDY_LAGS, STUDY_RANK) for frame in study],
+    )
+    worst = report(
+        f"study recursion, {HORIZON} steps", [recursion_errors(frame) for frame in study]
     )
     report(
         f"rolling, {args.origins} origins of 800x12 panels "
         f"(k={ROLLING_LAGS}, r={ROLLING_RANK}, seed {args.seed})",
-        rolling_frames(args.seed, args.origins),
-        ROLLING_LAGS,
-        ROLLING_RANK,
+        [
+            block_errors(frame, ROLLING_LAGS, ROLLING_RANK)
+            for frame in rolling_frames(args.seed, args.origins)
+        ],
     )
+    if worst > RECURSION_BOUND:
+        print(f"recursion error {worst:.2e} exceeds {RECURSION_BOUND:.0e}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -4,7 +4,10 @@ psi_h is entry (response, impulse) of Phi_h P, where Phi_h are the MA
 coefficient matrices of the fitted VAR and P is the Cholesky factor of the
 residual covariance, so a unit impulse is one standard deviation of the
 orthogonalized shock and the variable ordering of the fit decides the
-orthogonalization.
+orthogonalization. The MA matrices come from the one VAR recursion of
+``var`` driven by a unit impulse: Phi_0 = I, from p zero blocks, with the
+K x K blocks kept newest first so each step is one product of [A_1 .. A_p]
+with the p blocks after it.
 
 The stack Phi_h P depends only on the fit and the horizon, and a fit never
 changes, so it is built once per (fit, horizon), kept read-only on the fit,
@@ -22,21 +25,19 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import cholesky_lower
-from .var import VarFit
+from .var import VarFit, _recursion
 
 
-def ma_coefficients(fit: VarFit, horizon: int) -> list[np.ndarray]:
-    """Phi_0 = I and Phi_h = sum_{i=1..min(h,p)} A_i Phi_{h-i}."""
+def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
+    """Phi_0 .. Phi_horizon as one (horizon + 1, K, K) array: Phi_0 = I and
+    Phi_h = sum_{i=1..min(h,p)} A_i Phi_{h-i}, the VAR's recursion driven by
+    a unit impulse from p zero blocks."""
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     k = fit.n_vars
-    phis = [np.eye(k)]
-    for h in range(1, horizon + 1):
-        acc = np.zeros((k, k))
-        for i in range(1, min(h, fit.p) + 1):
-            acc += fit.coef_matrices[i - 1] @ phis[h - i]
-        phis.append(acc)
-    return phis
+    drive = np.zeros((horizon + 1, k, k))
+    drive[0] = np.eye(k)
+    return _recursion(fit, np.zeros((fit.p, k, k)), drive)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def _orthogonalized_stack(fit: VarFit, horizon: int) -> np.ndarray:
     stacks = fit._irf_stacks
     if horizon not in stacks:
         chol = cholesky_lower(fit.sigma)
-        mats = np.stack([phi @ chol for phi in ma_coefficients(fit, horizon)])
+        mats = ma_coefficients(fit, horizon) @ chol
         mats.setflags(write=False)
         stacks[horizon] = mats
     return stacks[horizon]

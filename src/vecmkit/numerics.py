@@ -58,8 +58,11 @@ LOG_2PI = math.log(2.0 * math.pi)
 def _as_finite(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray:
     """``a`` as a finite float array of ``ndim`` dimensions, or of more when
     ``stacked`` (a (..., n, n) stack of matrices, say): the one way in for
-    arrays from outside, so bad input raises ``DomainError`` naming ``name``."""
+    arrays from outside, so bad input (complex input included) raises
+    ``DomainError`` naming ``name``."""
     try:
+        if np.iscomplexobj(a):
+            raise DomainError(f"{name} must be real, got complex entries")
         out = np.asarray(a, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be numeric") from None
@@ -315,10 +318,15 @@ def chi_square_sf(x: float, df: int) -> float:
     power series for small arguments and a continued fraction otherwise;
     absolute accuracy is far below the 1e-6 contract.
     """
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"chi-square statistic must be >= 0, got {x}")
-    if df < 1 or int(df) != df:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {df}")
+    try:
+        if not math.isfinite(x) or x < 0:
+            raise DomainError(f"chi-square statistic must be >= 0, got {x}")
+        if df < 1 or df % 1:
+            raise DomainError(f"degrees of freedom must be a positive integer, got {df}")
+    except TypeError:
+        raise DomainError(
+            f"chi-square needs a real statistic and integer degrees of freedom, got {x!r}, {df!r}"
+        ) from None
     return _regularized_gamma_q(df / 2.0, x / 2.0)
 
 

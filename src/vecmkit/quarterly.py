@@ -87,6 +87,8 @@ def _as_readonly(values) -> np.ndarray:
     """A read-only float copy of ``values``: the one conversion of the
     values a ``Series`` or ``Frame`` is built from."""
     try:
+        if np.iscomplexobj(values):
+            raise NonNumericCellError("values must be real, got complex entries")
         out = np.array(values, dtype=float)
     except (TypeError, ValueError):
         raise NonNumericCellError("values must be numeric") from None
@@ -371,8 +373,11 @@ def location_quotient(
     input must be finite and positive, or ``DomainError`` is raised.
     """
     inputs = (industry_region, employment_region, industry_nation, employment_nation)
-    if not all(map(math.isfinite, inputs)):
-        raise DomainError(f"location quotient needs finite inputs, got {inputs}")
-    if any(x <= 0 for x in inputs):
-        raise DomainError(f"location quotient needs positive inputs, got {inputs}")
+    try:
+        if not all(map(math.isfinite, inputs)):
+            raise DomainError(f"location quotient needs finite inputs, got {inputs}")
+        if any(x <= 0 for x in inputs):
+            raise DomainError(f"location quotient needs positive inputs, got {inputs}")
+    except TypeError:
+        raise DomainError(f"location quotient needs real inputs, got {inputs}") from None
     return (industry_region / employment_region) / (industry_nation / employment_nation)

@@ -51,10 +51,13 @@ DEFAULT_LAG_SEARCH = 4
 
 
 def _require_factor(factor: float) -> None:
-    if not math.isfinite(factor):
-        raise DomainError(f"shock factor must be finite, got {factor}")
-    if factor <= 0:
-        raise DomainError(f"shock factor must be positive, got {factor}")
+    try:
+        if not math.isfinite(factor):
+            raise DomainError(f"shock factor must be finite, got {factor}")
+        if factor <= 0:
+            raise DomainError(f"shock factor must be positive, got {factor}")
+    except TypeError:
+        raise DomainError(f"shock factor must be a real number, got {factor!r}") from None
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,13 @@ Its future rows have one way in, the ``exog_path`` ``Frame`` of
 ``forecast_var``, which starts at the first forecast quarter. Fits are
 immutable; forecasting never mutates the fit, so concurrent forecasts from
 one fit are safe.
+
+Every propagation of a fitted VAR is one recursion, y_h = drive_h + A_1
+y_{h-1} + ... + A_p y_{h-p} (Lütkepohl 2005, 2.1): a forecast is driven by
+the constant (and the exogenous terms) from the sample tail, and the MA
+coefficients of ``irf.ma_coefficients`` by a unit impulse from zeros. It
+keeps its rows newest first in one buffer, so the p lags of a step are the
+p rows after it and [A_1 .. A_p] multiplies them as one contiguous view.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CoverageError, DomainError, InsufficientDataError
 from .numerics import _factor, eigen_moduli
@@ -123,7 +131,7 @@ def fit_var(
 
     coef = fit.coefficients
     const = coef[0]
-    mats = tuple(coef[1 + k * (i - 1) : 1 + k * i].T.copy() for i in range(1, p + 1))
+    mats = tuple(np.hsplit(coef[1 : 1 + k * p].T.copy(), p))
     if exog is not None:
         exog_coef = np.zeros((k, features.shape[1]))
         exog_coef[:, active] = coef[1 + k * p :].T
@@ -148,14 +156,9 @@ def fit_var(
 
 
 def companion_matrix(fit: VarFit) -> np.ndarray:
-    """(K*p) x (K*p) block companion: A_1..A_p on top, identities below."""
+    """(K*p) x (K*p) block companion: [A_1 .. A_p] on top, identities below."""
     k, p = fit.n_vars, fit.p
-    comp = np.zeros((k * p, k * p))
-    for i, a in enumerate(fit.coef_matrices):
-        comp[:k, i * k : (i + 1) * k] = a
-    if p > 1:
-        comp[k:, : k * (p - 1)] = np.eye(k * (p - 1))
-    return comp
+    return np.vstack([np.hstack(fit.coef_matrices), np.eye(k * (p - 1), k * p)])
 
 
 def stability_moduli(fit: VarFit) -> np.ndarray:
@@ -181,10 +184,9 @@ def forecast_var(
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
-    k = fit.n_vars
     start = fit.sample_start.shift(fit.n_sample)
 
-    exog_feats = None
+    drive = np.tile(fit.const, (horizon, 1))
     if fit.exog_names:
         if exog_path is None or exog_path.start != start or len(exog_path) < horizon:
             spans = "none" if exog_path is None else f"{exog_path.start}..{exog_path.end}"
@@ -196,19 +198,25 @@ def forecast_var(
         if lags:
             rows = np.vstack([fit.exog_values[-lags:], rows])
         # row h holds step h's features, laid out as in the fit's design
-        exog_feats = np.hstack([rows[lags:], *_lag_blocks(rows, lags)])
+        drive += np.hstack([rows[lags:], *_lag_blocks(rows, lags)]) @ fit.exog_coef.T
     elif exog_path is not None:
         raise CoverageError("fit has no exogenous block but an exogenous path was given")
+    return Frame(start, fit.names, _recursion(fit, fit.tail, drive))
 
-    history = [row for row in fit.tail]
-    out = np.empty((horizon, k))
-    for h in range(horizon):
-        x = fit.const.copy()
-        for i, a in enumerate(fit.coef_matrices, start=1):
-            x += a @ history[-i]
-        if exog_feats is not None:
-            x += fit.exog_coef @ exog_feats[h]
-        out[h] = x
-        history.append(x)
 
-    return Frame(start, fit.names, out)
+def _recursion(fit: VarFit, start: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """y_h = drive_h + A_1 y_{h-1} + ... + A_p y_{h-p} for each row h of
+    ``drive``, from the p rows of ``start`` (oldest first) as y_{-p} ..
+    y_{-1}; a row is a K-vector or a K x m block. The rows sit newest first
+    in one buffer z, so the lags y_{h-1} .. y_{h-p} of a step are the p
+    rows after it: one contiguous stretch, read without a copy as the
+    stacked [y_{h-1}; ..; y_{h-p}] that [A_1 .. A_p] multiplies."""
+    n = len(drive)
+    wide = np.hstack(fit.coef_matrices)
+    z = np.concatenate([drive[::-1], start[::-1]])
+    # lags[i] is rows i+1 .. i+p of z as one (K p)-row view
+    lags = as_strided(z[1:], (n, fit.p * z.shape[1], *z.shape[2:]), z.strides, writeable=False)
+    steps = z[n - 1 :: -1]
+    for row, lag in zip(steps, lags[::-1]):
+        row += wide @ lag
+    return steps

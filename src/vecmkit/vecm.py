@@ -324,22 +324,13 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
 
 def vecm_to_levels_var(fit: VecmFit) -> VarFit:
     """Algebraically identical levels VAR(k): A_1 = Pi + I + Gamma_1,
-    A_i = Gamma_i - Gamma_{i-1} for 1 < i < k, A_k = -Gamma_{k-1}."""
-    n_vars = fit.n_vars
-    k = fit.lags
-    pi = fit.pi
-    eye = np.eye(n_vars)
-    if k == 1:
-        mats = [pi + eye]
-    else:
-        mats = [pi + eye + fit.gammas[0]]
-        for i in range(1, k - 1):
-            mats.append(fit.gammas[i] - fit.gammas[i - 1])
-        mats.append(-fit.gammas[-1])
+    A_i = Gamma_i - Gamma_{i-1} for 1 < i < k, A_k = -Gamma_{k-1}, that is
+    A_i = g_i - g_{i-1} over g = [-(Pi + I), Gamma_1 .. Gamma_{k-1}, 0]."""
+    g = [-(fit.pi + np.eye(fit.n_vars)), *fit.gammas, 0.0]
     return VarFit(
-        p=k,
+        p=fit.lags,
         names=fit.names,
-        coef_matrices=tuple(mats),
+        coef_matrices=tuple(b - a for a, b in zip(g, g[1:])),
         const=fit.const,
         residuals=fit.residuals,
         sigma=fit.sigma,

@@ -51,6 +51,15 @@ def random_stable_var1(rng, k=2, max_radius=0.9):
             return a
 
 
+def random_stable_var(rng, k, p, radius=0.9):
+    """p random K x K lag matrices whose companion matrix has spectral
+    radius ``radius``: scaling each A_i by c^i scales every root by c."""
+    mats = [rng.standard_normal((k, k)) * 0.5 for _ in range(p)]
+    comp = np.vstack([np.hstack(mats), np.eye(k * (p - 1), k * p)])
+    c = radius / np.max(np.abs(np.linalg.eigvals(comp)))
+    return tuple(a * c**i for i, a in enumerate(mats, start=1))
+
+
 def random_spd(rng, k=2, scale=1.0):
     m = rng.standard_normal((k, k))
     return scale * (m @ m.T + k * np.eye(k) * 0.1)

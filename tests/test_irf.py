@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecmkit as vk
 from vecmkit import (
     VarFit,
     cholesky_lower,
+    companion_matrix,
     ma_coefficients,
     orthogonalized_irf,
     orthogonalized_irfs,
@@ -15,6 +18,7 @@ from vecmkit.errors import DomainError, NotPositiveDefiniteError
 from conftest import (
     make_frame,
     random_spd,
+    random_stable_var,
     random_stable_var1,
     simulate_var,
     well_specified_vecm_fit,
@@ -79,6 +83,25 @@ class TestMaCoefficients:
             oracle = path_difference_oracle(fit, shock, 12)
             for h in range(13):
                 np.testing.assert_allclose(phis[h][:, col], oracle[h], atol=1e-10)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        p=st.integers(1, 4),
+        horizon=st.integers(0, 16),
+    )
+    @settings(max_examples=60)
+    def test_blocks_of_companion_powers(self, seed, k, p, horizon):
+        """Phi_h is the top-left K x K block of C^h for the companion C."""
+        fit = var_fit(random_stable_var(np.random.default_rng(seed), k, p), np.eye(k))
+        comp = companion_matrix(fit)
+        phis = ma_coefficients(fit, horizon)
+        assert phis.shape == (horizon + 1, k, k)
+        power = np.eye(k * p)
+        for phi in phis:
+            want = power[:k, :k]
+            assert np.max(np.abs(phi - want)) <= 1e-12 * np.max(np.abs(want))
+            power = comp @ power
 
     def test_negative_horizon(self, rng):
         with pytest.raises(DomainError):

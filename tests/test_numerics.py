@@ -391,6 +391,19 @@ class TestChiSquareSf:
         assert chi_square_sf(33.8489, 36) == pytest.approx(0.5713, abs=5e-4)
         assert chi_square_sf(46.3709, 36) == pytest.approx(0.1154, abs=5e-4)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("a", 1), "chi-square needs a real statistic"),
+            ((1.0, "a"), "chi-square needs a real statistic"),
+            ((1.0, float("nan")), "degrees of freedom must be a positive integer"),
+            ((1.0, math.inf), "degrees of freedom must be a positive integer"),
+        ],
+    )
+    def test_non_real_arguments_raise_domain_error(self, args, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            chi_square_sf(*args)
+
     @given(
         x=st.floats(0.0, 200.0),
         df=st.integers(min_value=1, max_value=60),
@@ -487,12 +500,14 @@ class TestOutsideArrays:
     """Every array from outside goes through one converter, so a bad cell
     raises a typed error naming the input, never numpy's own."""
 
-    @pytest.mark.parametrize("cell", ["a", np.nan])
+    @pytest.mark.parametrize("cell", ["a", np.nan, 2 + 1j])
     @pytest.mark.parametrize("entry", sorted(_outside_inputs()))
     def test_bad_cell_raises_typed_error(self, entry, cell):
         call, good, error, name = _outside_inputs()[entry]
         call(good)  # the valid input passes
-        bad = good.astype(object)
+        # a complex cell comes as a complex array, which a cast to float
+        # would truncate to its real part
+        bad = good.astype(complex if isinstance(cell, complex) else object)
         bad.flat[1] = cell
         with pytest.raises(error, match=f"^{name} ") as err:
             call(bad)

@@ -357,6 +357,11 @@ class TestLocationQuotient:
         with pytest.raises(DomainError, match="finite"):
             location_quotient(*inputs)
 
+    @pytest.mark.parametrize("value", ["a", None, 1 + 1j])
+    def test_non_real_inputs(self, value):
+        with pytest.raises(DomainError, match="^location quotient needs real inputs"):
+            location_quotient(10.0, value, 1.0, 100.0)
+
     @given(scale=st.floats(1e-3, 1e3))
     def test_common_rescale_invariance(self, scale):
         base = location_quotient(10, 100, 3, 600)

@@ -79,6 +79,11 @@ class TestApplyShock:
         with pytest.raises(DomainError, match=f"shock factor must be finite, got {factor}"):
             scenario(panel69, factor=factor)
 
+    @pytest.mark.parametrize("factor", ["a", None])
+    def test_non_real_factor_named(self, panel69, factor):
+        with pytest.raises(DomainError, match=f"shock factor must be a real number, got {factor!r}"):
+            scenario(panel69, factor=factor)
+
 
 class TestRunThreeStage:
     def test_forecast_window_matches_reference_span(self, panel69):

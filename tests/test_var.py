@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecmkit as vk
 from vecmkit import (
@@ -13,7 +15,7 @@ from vecmkit.errors import CoverageError, InsufficientDataError, MissingColumnEr
 from vecmkit.formatting import from_jsonable, to_jsonable
 from vecmkit.numerics import ols
 
-from conftest import make_frame, random_stable_var1, simulate_var
+from conftest import make_frame, random_stable_var, random_stable_var1, simulate_var
 
 
 def z_frame(values, start="2001Q1"):
@@ -244,6 +246,46 @@ class TestForecast:
         fit = fit_var(make_frame(x, names=("a", "b")), 1)
         np.testing.assert_allclose(fit.coef_matrices[0], a, atol=1e-8)
         np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-8)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        p=st.integers(1, 4),
+        exog=st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_equals_companion_state_iteration(self, seed, k, p, exog):
+        """The forecast is the top block of s <- C s + [c + B f_h; 0], from
+        s = [y_T; y_{T-1}; ..], with f_h = [z_{T+h}, z_{T+h-1}] when the fit
+        has one exogenous column at exog_lags=1."""
+        rng = np.random.default_rng(seed)
+        horizon, n = 12, 20
+        const, tail = rng.standard_normal(k), rng.standard_normal((p, k))
+        z = rng.standard_normal(horizon + 1)  # z_{T-1} .. z_{T+horizon-1}
+        b = rng.standard_normal((k, 2))
+        block = dict(exog_names=("z",), exog_lags=1, exog_coef=b, exog_values=np.full((n, 1), z[0]))
+        fit = VarFit(
+            p=p,
+            names=tuple(f"x{i}" for i in range(k)),
+            coef_matrices=random_stable_var(rng, k, p),
+            const=const,
+            residuals=np.zeros((n - p, k)),
+            sigma=np.eye(k),
+            sample_start=vk.parse_quarter("2001Q1"),
+            n_sample=n,
+            tail=tail,
+            **(block if exog else {}),
+        )
+        path = z_frame(z[1:, None], fit.sample_start.shift(n)) if exog else None
+        comp = companion_matrix(fit)
+        state = tail[::-1].ravel()
+        want = []
+        for h in range(horizon):
+            shift = const + b @ z[[h + 1, h]] if exog else const
+            state = comp @ state + np.concatenate([shift, np.zeros(k * (p - 1))])
+            want.append(state[:k])
+        got = forecast_var(fit, horizon, exog_path=path).values
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12 * np.max(np.abs(want))
 
     def test_exog_coverage_required(self, rng):
         t = 60

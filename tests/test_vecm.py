@@ -664,6 +664,23 @@ class TestLevelsConversion:
         np.testing.assert_allclose(var.coef_matrices[1], g2 - g1)
         np.testing.assert_allclose(var.coef_matrices[2], -g2)
 
+    @given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(1, 5), k=st.integers(1, 4))
+    @settings(max_examples=40)
+    def test_lag_matrices_exact(self, seed, n_vars, k):
+        """A_1 = Pi + I + Gamma_1 (Pi + I at k = 1), A_i = Gamma_i -
+        Gamma_{i-1} and A_k = -Gamma_{k-1}, bit for bit."""
+        rng = np.random.default_rng(seed)
+        r = max(1, n_vars - 1)
+        alpha, beta = rng.standard_normal((n_vars, r)), rng.standard_normal((n_vars, r))
+        g = tuple(rng.standard_normal((n_vars, n_vars)) for _ in range(k - 1))
+        fit = build_vecm_fit(alpha, beta, g, np.zeros(n_vars), np.ones((k, n_vars)))
+        first = fit.pi + np.eye(n_vars)
+        want = [first + g[0], *(g[i] - g[i - 1] for i in range(1, k - 1)), -g[-1]] if g else [first]
+        got = vecm_to_levels_var(fit).coef_matrices
+        assert len(got) == k
+        for a, w in zip(got, want):
+            np.testing.assert_array_equal(a, w)
+
     def test_path_equivalence_oracle(self, rng):
         # iterate the VECM equations directly, shocks included, and compare
         # against iterating the converted levels VAR on the same shocks

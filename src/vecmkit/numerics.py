@@ -31,7 +31,8 @@ Every array from outside the program comes in through one converter,
 ADF test, the trace statistics and the artifact decoder all take their
 array arguments through it, so non-numeric, non-finite or misshapen input
 raises ``DomainError`` naming the argument. (``quarterly``'s frames keep
-their own ``NonNumericCellError`` family.)
+their own ``NonNumericCellError`` family, raised by the same one cast,
+``_float_array``.)
 """
 
 from __future__ import annotations
@@ -55,17 +56,25 @@ PIVOT_TOL = 1e-12
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _float_array(a, error: type[Exception], name: str) -> np.ndarray:
+    """``a`` read once as an array and cast to float: the one cast of input
+    from outside. Complex entries, whose cast would drop the imaginary part,
+    and entries with no float value raise ``error`` naming ``name``."""
+    try:
+        raw = np.asarray(a)
+        if raw.dtype.kind == "c":
+            raise error(f"{name} must be real, got complex entries")
+        return raw.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be numeric") from None
+
+
 def _as_finite(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray:
     """``a`` as a finite float array of ``ndim`` dimensions, or of more when
     ``stacked`` (a (..., n, n) stack of matrices, say): the one way in for
     arrays from outside, so bad input (complex input included) raises
     ``DomainError`` naming ``name``."""
-    try:
-        if np.iscomplexobj(a):
-            raise DomainError(f"{name} must be real, got complex entries")
-        out = np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be numeric") from None
+    out = _float_array(a, DomainError, name)
     if out.ndim != ndim and not (stacked and out.ndim > ndim):
         raise DomainError(f"{name} must be {ndim}-dimensional, got shape {out.shape}")
     if not np.all(np.isfinite(out)):

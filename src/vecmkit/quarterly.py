@@ -27,6 +27,7 @@ from .errors import (
     QuarterGapError,
     QuarterParseError,
 )
+from .numerics import _float_array
 
 # Column order fixed at ingestion; it also fixes the Cholesky ordering used
 # by orthogonalized impulse responses downstream.
@@ -86,12 +87,7 @@ def parse_quarter(text: str) -> QuarterIndex:
 def _as_readonly(values) -> np.ndarray:
     """A read-only float copy of ``values``: the one conversion of the
     values a ``Series`` or ``Frame`` is built from."""
-    try:
-        if np.iscomplexobj(values):
-            raise NonNumericCellError("values must be real, got complex entries")
-        out = np.array(values, dtype=float)
-    except (TypeError, ValueError):
-        raise NonNumericCellError("values must be numeric") from None
+    out = np.array(_float_array(values, NonNumericCellError, "values"))
     if not np.all(np.isfinite(out)):
         raise NonNumericCellError("values must be finite (no NaN/inf)")
     out.setflags(write=False)

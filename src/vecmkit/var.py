@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import CoverageError, DomainError, InsufficientDataError
 from .numerics import _factor, eigen_moduli
@@ -208,15 +207,13 @@ def _recursion(fit: VarFit, start: np.ndarray, drive: np.ndarray) -> np.ndarray:
     """y_h = drive_h + A_1 y_{h-1} + ... + A_p y_{h-p} for each row h of
     ``drive``, from the p rows of ``start`` (oldest first) as y_{-p} ..
     y_{-1}; a row is a K-vector or a K x m block. The rows sit newest first
-    in one buffer z, so the lags y_{h-1} .. y_{h-p} of a step are the p
-    rows after it: one contiguous stretch, read without a copy as the
-    stacked [y_{h-1}; ..; y_{h-p}] that [A_1 .. A_p] multiplies."""
+    in one C-ordered buffer z, so the lags y_{h-1} .. y_{h-p} of a step are
+    the p rows after it: one contiguous stretch, whose reshape is the
+    stacked [y_{h-1}; ..; y_{h-p}] that [A_1 .. A_p] multiplies, read
+    without a copy."""
     n = len(drive)
     wide = np.hstack(fit.coef_matrices)
-    z = np.concatenate([drive[::-1], start[::-1]])
-    # lags[i] is rows i+1 .. i+p of z as one (K p)-row view
-    lags = as_strided(z[1:], (n, fit.p * z.shape[1], *z.shape[2:]), z.strides, writeable=False)
-    steps = z[n - 1 :: -1]
-    for row, lag in zip(steps, lags[::-1]):
-        row += wide @ lag
-    return steps
+    z = np.ascontiguousarray(np.concatenate([drive[::-1], start[::-1]]))
+    for i in range(n - 1, -1, -1):
+        z[i] += wide @ z[i + 1 : i + 1 + fit.p].reshape(-1, *z.shape[2:])
+    return z[n - 1 :: -1]

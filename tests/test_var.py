@@ -287,6 +287,27 @@ class TestForecast:
         got = forecast_var(fit, horizon, exog_path=path).values
         assert np.max(np.abs(got - np.array(want))) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("layout", ["fortran", "select"])
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_any_tail_layout(self, rng, layout, horizon):
+        """A frame built from a Fortran-ordered array, or a column
+        selection, leaves the fit a Fortran-ordered tail; at horizon 1 that
+        tail alone lays out the recursion's input, and the forecast is
+        still the companion state iteration."""
+        x = rng.standard_normal((40, 6))
+        frame = make_frame(np.asfortranarray(x[:, :5]))
+        if layout == "select":
+            frame = make_frame(x).select(("x2", "x1", "x4", "x3", "x6"))
+        fit = fit_var(frame, 2)
+        assert not fit.tail.flags.c_contiguous
+        comp = companion_matrix(fit)
+        state, want = fit.tail[::-1].ravel(), []
+        for _ in range(horizon):
+            state = comp @ state + np.concatenate([fit.const, np.zeros(5)])
+            want.append(state[:5])
+        got = forecast_var(fit, horizon).values
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12 * np.max(np.abs(want))
+
     def test_exog_coverage_required(self, rng):
         t = 60
         z = rng.standard_normal((t + 5, 1))  # rows past the sample are not a path

@@ -18,10 +18,11 @@ not one of its fields: ``selected_rank`` in ``johansen.json``, the string
 keys of the ADF critical values, and the shock pipeline's scenario in its
 audit.
 
-Two tables drive it. ``_TYPES`` gives every config key's accepted type (a
-nested dict is a block such as ``shock``); it validates config files and
-overrides and sets each flag's argparse type. ``_COMMANDS`` gives each
-command's handler, help text and flags; a flag is its config key spelt
+Two tables drive it. ``_SCHEMA`` gives every config key's accepted type and
+default (a nested dict is a block such as ``shock``): each run's config is a
+namespace over fresh copies of the defaults, and the table validates config
+files and overrides and sets each flag's argparse type. ``_COMMANDS`` gives
+each command's handler, help text and flags; a flag is its config key spelt
 ``--key-with-dashes`` without the block prefix, unless a ``(flag, key)``
 pair says otherwise. Handlers receive a ``_Run``, which loads the dataset,
 fits the VECM, writes the artifacts and builds the audit.
@@ -30,6 +31,7 @@ fits the VECM, writes the artifacts and builds the audit.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
@@ -56,75 +58,61 @@ CONFIG_ENV_VAR = "VECMKIT_CONFIG"
 
 _NUMBER = (int, float)
 _LQ_INPUTS = ("industry_region", "employment_region", "industry_nation", "employment_nation")
-_TYPES = {
-    "dataset": str,
-    "output_dir": str,
-    "variables": list,
-    "lags": int,
-    "rank": int,
-    "max_lag": int,
-    "adf_lags": int,
-    "adf_spec": str,
-    "lm_lags": int,
-    "n_eff": int,
-    "horizon": int,
-    "holdout": int,
-    "impulse": str,
-    "response": str,
+# config key -> (accepted type, default); a nested dict is a block such as ``shock``
+_SCHEMA = {
+    "dataset": (str, None),
+    "output_dir": (str, "out"),
+    "variables": (list, list(DEFAULT_SCHEMA)),
+    "lags": (int, 2),
+    "rank": (int, 2),
+    "max_lag": (int, 4),
+    "adf_lags": (int, 4),
+    "adf_spec": (str, "constant"),
+    "lm_lags": (int, 2),
+    "n_eff": (int, None),
+    "horizon": (int, 20),
+    "holdout": (int, 8),
+    "impulse": (str, None),
+    "response": (str, None),
+    # the scenario's own fields, passed to ``ShockScenario`` by name
     "shock": {
-        "target": str,
-        "factor": _NUMBER,
-        "start": str,
-        "stage2_lags": int,
-        "stage3_lags": int,
-        "exog_lags": int,
+        "target": (str, "exchange_rate"),
+        "factor": (_NUMBER, 1.15),
+        "start": (str, None),
+        "stage2_lags": (int, None),
+        "stage3_lags": (int, None),
+        "exog_lags": (int, 0),
     },
-    "lq": {**dict.fromkeys(_LQ_INPUTS, _NUMBER), "csv": str},
+    "lq": {**dict.fromkeys(_LQ_INPUTS, (_NUMBER, None)), "csv": (str, None)},
 }
-_SHOCK_DEFAULTS = {**dict.fromkeys(_TYPES["shock"]), "target": "exchange_rate", "factor": 1.15, "exog_lags": 0}
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters; flags override file values."""
-
-    dataset: str | None = None
-    output_dir: str = "out"
-    variables: list[str] = field(default_factory=lambda: list(DEFAULT_SCHEMA))
-    lags: int = 2
-    rank: int = 2
-    max_lag: int = 4
-    adf_lags: int = 4
-    adf_spec: str = "constant"
-    lm_lags: int = 2
-    n_eff: int | None = None
-    horizon: int = 20
-    holdout: int = 8
-    impulse: str | None = None
-    response: str | None = None
-    shock: dict = field(default_factory=lambda: dict(_SHOCK_DEFAULTS))
-    lq: dict = field(default_factory=lambda: dict.fromkeys(_TYPES["lq"]))
+def _defaults(schema: dict) -> dict:
+    """Fresh copies of ``schema``'s defaults, so no run shares a list or block."""
+    return {
+        key: _defaults(spec) if isinstance(spec, dict) else copy.copy(spec[1]) for key, spec in schema.items()
+    }
 
 
-def _apply(values: dict, types: dict, key: str, value, name: str) -> None:
-    """Check ``value`` against ``types`` and store it in ``values``; a dotted
+def _apply(values: dict, schema: dict, key: str, value, name: str) -> None:
+    """Check ``value`` against ``schema`` and store it in ``values``; a dotted
     key or a dict value descends into a block. ``name`` is the full key.
     Null is accepted only where the key's default is null, and a boolean
     is never a number."""
     head, _, rest = key.partition(".")
-    expected = types.get(head)
-    if expected is None or (rest and not isinstance(expected, dict)):
+    spec = schema.get(head)
+    if spec is None or (rest and not isinstance(spec, dict)):
         raise ConfigError(f"unknown config key {name!r}")
     if rest:
-        _apply(values[head], expected, rest, value, name)
-    elif isinstance(expected, dict):
+        _apply(values[head], spec, rest, value, name)
+    elif isinstance(spec, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"config key {name!r} must be dict, got {value!r}")
         for sub, sub_value in value.items():
-            _apply(values[head], expected, sub, sub_value, f"{name}.{sub}")
+            _apply(values[head], spec, sub, sub_value, f"{name}.{sub}")
     else:
-        # null is stored only where the default is null; else it fails the checks
-        if value is not None or reduce(getitem, name.split("."), vars(RunConfig())) is not None:
+        expected, default = spec
+        if value is not None or default is not None:
             if expected is int and isinstance(value, bool):
                 raise ConfigError(f"config key {name!r} must be an integer, got {value!r}")
             if isinstance(value, bool) or not isinstance(value, expected):
@@ -137,12 +125,13 @@ def _apply(values: dict, types: dict, key: str, value, name: str) -> None:
         values[head] = value
 
 
-def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus flag overrides.
+def parse_config(path: str | None = None, overrides: dict | None = None) -> argparse.Namespace:
+    """Build a run's config, one attribute per ``_SCHEMA`` key, from the
+    defaults, an optional JSON file and flag overrides.
 
     Unknown keys are rejected by name; flag values win over file values.
     """
-    config = RunConfig()
+    config = argparse.Namespace(**_defaults(_SCHEMA))
     if path:
         p = Path(path)
         if not p.exists():
@@ -154,10 +143,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in data.items():
-            _apply(vars(config), _TYPES, key, value, key)
+            _apply(vars(config), _SCHEMA, key, value, key)
     for key, value in (overrides or {}).items():
         if value is not None:
-            _apply(vars(config), _TYPES, key, value, key)
+            _apply(vars(config), _SCHEMA, key, value, key)
     return config
 
 
@@ -166,7 +155,7 @@ class _Run:
     """One command's run: its config, the artifacts it wrote, and the shock
     pipeline's audit when there is one."""
 
-    config: RunConfig
+    config: argparse.Namespace
     out: Path
     artifacts: list[Path] = field(default_factory=list)
     pipeline: dict | None = None
@@ -204,7 +193,7 @@ class _Run:
                 "numpy": np.__version__,
                 "python": platform.python_version(),
             },
-            "parameters": to_jsonable(self.config),
+            "parameters": vars(self.config),
             "dataset_sha256": digest,
             "artifacts": sorted(a.name for a in self.artifacts),
         }
@@ -404,15 +393,14 @@ def _cmd_shock(run: _Run) -> None:
     config, shock = run.config, run.config.shock
     frame = run.frame
     scenario = ShockScenario(
-        target=shock["target"],
-        factor=float(shock["factor"]),
-        start=parse_quarter(shock["start"]) if shock["start"] else frame.end.next(),
+        **{
+            **shock,
+            "factor": float(shock["factor"]),
+            "start": parse_quarter(shock["start"]) if shock["start"] else frame.end.next(),
+        },
         horizon=config.horizon,
         vecm_lags=config.lags,
         rank=config.rank,
-        stage2_lags=shock["stage2_lags"],
-        stage3_lags=shock["stage3_lags"],
-        exog_lags=shock["exog_lags"],
     )
     result = run_three_stage(frame, scenario)
     run.pipeline = {"scenario": to_jsonable(result.scenario), **result.audit}
@@ -489,17 +477,17 @@ _COMMANDS = {
     "shock": (
         _cmd_shock,
         "three-stage multiplicative shock pipeline",
-        (*(f"shock.{k}" for k in _TYPES["shock"]), "horizon", *_FIT),
+        (*(f"shock.{k}" for k in _SCHEMA["shock"]), "horizon", *_FIT),
     ),
     "lq": (
         _cmd_lq,
         "location quotient (ratio of regional to national industry share)",
-        tuple(f"lq.{k}" for k in _TYPES["lq"]),
+        tuple(f"lq.{k}" for k in _SCHEMA["lq"]),
     ),
 }
 
 
-def execute(config: RunConfig, command: str) -> int:
+def execute(config: argparse.Namespace, command: str) -> int:
     """Run one command; returns 0 iff every requested artifact was written."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -529,9 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         for flag in flags:
             flag, key = flag if isinstance(flag, tuple) else ("--" + flag.split(".")[-1].replace("_", "-"), flag)
-            expected = _TYPES
-            for part in key.split("."):
-                expected = expected[part]
+            expected = reduce(getitem, key.split("."), _SCHEMA)[0]
             p.add_argument(flag, dest=key, type=float if expected is _NUMBER else expected)
     return parser
 

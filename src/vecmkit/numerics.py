@@ -59,10 +59,12 @@ LOG_2PI = math.log(2.0 * math.pi)
 def _float_array(a, error: type[Exception], name: str) -> np.ndarray:
     """``a`` read once as an array and cast to float: the one cast of input
     from outside. Complex entries, whose cast would drop the imaginary part,
-    and entries with no float value raise ``error`` naming ``name``."""
+    and entries with no float value raise ``error`` naming ``name``. An
+    object array is tested for complex entries by the dtype numpy infers
+    for its elements, so NumPy complex scalars are caught there too."""
     try:
         raw = np.asarray(a)
-        if raw.dtype.kind == "c":
+        if (np.array(raw.tolist()) if raw.dtype == object else raw).dtype.kind == "c":
             raise error(f"{name} must be real, got complex entries")
         return raw.astype(float, copy=False)
     except (TypeError, ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import vecmkit as vk
-from vecmkit.cli import RunConfig, execute, main, parse_config
+from vecmkit.cli import execute, main, parse_config
 from vecmkit.errors import ConfigError
 from vecmkit.formatting import from_jsonable, to_jsonable
 
@@ -35,6 +35,16 @@ class TestParseConfig:
         assert config.horizon == 20
         assert config.variables == list(vk.DEFAULT_SCHEMA)
         assert config.shock["factor"] == 1.15
+
+    def test_each_call_builds_independent_defaults(self):
+        config = parse_config()
+        config.variables.append("extra")
+        config.shock["factor"] = 9.0
+        config.lq["csv"] = "lq.csv"
+        fresh = parse_config()
+        assert fresh.variables == list(vk.DEFAULT_SCHEMA)
+        assert fresh.shock["factor"] == 1.15
+        assert fresh.lq["csv"] is None
 
     def test_file_values(self, tmp_path):
         path = tmp_path / "run.json"
@@ -659,7 +669,7 @@ class TestErrorReporting:
 class TestExecute:
     def test_unknown_command(self):
         with pytest.raises(ConfigError):
-            execute(RunConfig(), "sing")
+            execute(parse_config(), "sing")
 
     def test_returns_zero_on_success(self, dataset, tmp_path):
         config = parse_config(

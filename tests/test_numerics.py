@@ -500,14 +500,23 @@ class TestOutsideArrays:
     """Every array from outside goes through one converter, so a bad cell
     raises a typed error naming the input, never numpy's own."""
 
-    @pytest.mark.parametrize("cell", ["a", np.nan, 2 + 1j])
+    # a complex cell comes as a complex array, or as a NumPy complex scalar
+    # in an object array, either of which a cast to float would truncate to
+    # its real part
+    @pytest.mark.parametrize(
+        "cell, dtype",
+        [
+            pytest.param("a", object, id="a"),
+            pytest.param(np.nan, object, id="nan"),
+            pytest.param(2 + 1j, complex, id="(2+1j)"),
+            pytest.param(np.complex128(2 + 1j), object, id="complex128 in object array"),
+        ],
+    )
     @pytest.mark.parametrize("entry", sorted(_outside_inputs()))
-    def test_bad_cell_raises_typed_error(self, entry, cell):
+    def test_bad_cell_raises_typed_error(self, entry, cell, dtype):
         call, good, error, name = _outside_inputs()[entry]
         call(good)  # the valid input passes
-        # a complex cell comes as a complex array, which a cast to float
-        # would truncate to its real part
-        bad = good.astype(complex if isinstance(cell, complex) else object)
+        bad = good.astype(dtype)
         bad.flat[1] = cell
         with pytest.raises(error, match=f"^{name} ") as err:
             call(bad)

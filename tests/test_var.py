@@ -437,3 +437,58 @@ class TestTwoExogLags:
         np.testing.assert_array_equal(
             forecast_var(fit, self.horizon, exog_path=wider).values, got.values
         )
+
+
+class TestAnyExogLags:
+    """Every lag order p = 1..5 with exog_lags = 0..p and one or two
+    exogenous columns, against a design built by explicit index loops and a
+    per-step forecast loop. Tolerance, stated up front: 1e-10 relative to
+    the largest entry of the oracle."""
+
+    @staticmethod
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 3),
+        p=st.integers(1, 5),
+        m=st.integers(1, 2),
+        horizon=st.integers(1, 8),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fit_and_forecast_match_index_loops(self, seed, k, p, m, horizon, data):
+        q = data.draw(st.integers(0, p), label="exog_lags")
+        rng = np.random.default_rng(seed)
+        t = 30 + 6 * p
+        x, z = rng.standard_normal((t, k)), rng.standard_normal((t + horizon, m))
+        names = tuple(f"z{c + 1}" for c in range(m))
+        frame = make_frame(x)
+        fit = fit_var(frame, p, exog=make_frame(z[:t], names=names), exog_lags=q)
+
+        design = []
+        for s in range(p, t):
+            row = [1.0]
+            for j in range(1, p + 1):
+                row.extend(x[s - j])
+            for j in range(q + 1):
+                row.extend(z[s - j])
+            design.append(row)
+        coef = np.linalg.lstsq(np.array(design), x[p:], rcond=None)[0]
+        assert self.close(fit.const, coef[0])
+        for j, a in enumerate(fit.coef_matrices):
+            assert self.close(a, coef[1 + j * k : 1 + (j + 1) * k].T)
+        assert self.close(fit.exog_coef, coef[1 + p * k :].T)
+
+        history, want = list(x), []
+        for h in range(horizon):
+            y = fit.const.copy()
+            for j in range(1, p + 1):
+                y += fit.coef_matrices[j - 1] @ history[t + h - j]
+            for j in range(q + 1):
+                y += fit.exog_coef[:, j * m : (j + 1) * m] @ z[t + h - j]
+            history.append(y)
+            want.append(y)
+        path = make_frame(z[t:], start=str(frame.end.next()), names=names)
+        assert self.close(forecast_var(fit, horizon, exog_path=path).values, np.array(want))

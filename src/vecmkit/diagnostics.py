@@ -32,7 +32,7 @@ from .errors import (
 )
 from .numerics import LOG_2PI, _as_finite, _factor, chi_square_sf, cholesky_lower
 from .quarterly import Frame, _lag_blocks
-from .vecm import VecmFit, vecm_to_levels_var
+from .vecm import VecmFit, _keep_search, _levels_blocks, vecm_to_levels_var
 from .var import stability_moduli
 
 LR_SIGNIFICANCE = 0.05
@@ -89,7 +89,12 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
     Every VAR(j) is a leading block of one QR of the VAR(max_lag) design,
     and its log likelihood is read off that factor's residual covariance;
     the max_lag + 1 covariances take one stacked Cholesky call, and no
-    coefficients or residuals are formed."""
+    coefficients or residuals are formed. A search that succeeds keeps that
+    factor's read-only R of [1 | X_{t-1} .. X_{t-max_lag} | X_t] for its
+    frame, in place of the last one kept: a rank test or VECM fit of that
+    frame object at lag order k <= max_lag then reads its own R off it by one
+    small QR (see ``vecm``), and its results may move at rounding level
+    against a cold run, though not its rank pick."""
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
     k = frame.n_columns
@@ -98,12 +103,7 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
         raise InsufficientDataError(
             f"{len(frame)} rows are too few to compare lags up to {max_lag}"
         )
-    widest = _factor(
-        np.hstack(
-            [np.ones((t_eff, 1)), *_lag_blocks(frame.values, max_lag), frame.values[max_lag:]]
-        ),
-        1 + k * max_lag,
-    )
+    widest = _factor(np.hstack(_levels_blocks(frame.values, max_lag)), 1 + k * max_lag)
 
     lls = widest.log_likelihoods([1 + k * j for j in range(max_lag + 1)]).tolist()
 
@@ -139,6 +139,7 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
         "fpe": argmin("fpe"),
         "lr": lr_pick,
     }
+    _keep_search(frame, max_lag, widest.augmented_r)
     return LagSelectionReport(tuple(rows), t_eff, k, selected)
 
 

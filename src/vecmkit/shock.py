@@ -105,7 +105,8 @@ def apply_multiplicative_shock(
     path: Series, factor: float, start: QuarterIndex
 ) -> Series:
     """Multiply values at or after ``start`` by ``factor``, which must be
-    positive and finite; earlier values are returned unchanged."""
+    positive and finite; earlier values are returned unchanged. A product
+    that overflows raises ``DomainError`` naming the factor."""
     _require_factor(factor)
     offset = path.start.distance(start)
     if not 0 <= offset < len(path):
@@ -113,7 +114,10 @@ def apply_multiplicative_shock(
             f"shock start {start} outside path range {path.start}..{path.end}"
         )
     values = np.array(path.values)
-    values[offset:] = values[offset:] * factor
+    with np.errstate(over="ignore"):
+        values[offset:] = values[offset:] * factor
+    if not np.all(np.isfinite(values[offset:])):
+        raise DomainError(f"shock factor {factor} overflows the shocked path")
     return Series(path.name, path.start, values)
 
 

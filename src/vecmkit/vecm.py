@@ -22,6 +22,19 @@ factors no tall matrix of its own: its design [z2, z1 beta] and target z0
 are Q times blocks of R, so the QR of those few rows (one per column of R)
 is a QR of [design | z0] (Golub & Van Loan, Matrix Computations, 5.3). The
 record is read-only, so a reused result equals a fresh one bit for bit.
+
+R itself has two sources. A lag search (``lag_order_selection``) keeps the
+R of its widest design [1 | X_{t-1} .. X_{t-p} | X_t] for the last frame it
+searched successfully. When the frame concentrated is that object and
+p >= k, the concentration maps the kept R to [z2 | z0 | z1] and takes one
+small QR (``_concentrate``); otherwise it factors [z2 | z0 | z1] itself.
+Both give an R with the Gram matrix of [z2 | z0 | z1], so after a lag search
+of the same frame object a rank test's or fit's results may move at rounding
+level against a cold run, and its rank pick does not move short of a trace
+statistic within rounding of its critical value. The kept search is matched
+by identity, unlike the concentration memo: a frame loaded or built apart
+from the searched one, equal or not, is concentrated cold, so a CLI run,
+which loads its own copy of the panel, never reads a search made before it.
 """
 
 from __future__ import annotations
@@ -87,10 +100,30 @@ class JohansenResult:
         return len(self.names)
 
 
+def _levels_blocks(values: np.ndarray, p: int) -> list[np.ndarray]:
+    """The column blocks [1 | X_{t-1} .. X_{t-p} | X_t] over the T - p rows
+    from p on: the levels VAR(p) design and target the lag search factors,
+    and what ``_vecm_columns`` maps to the rank test's design."""
+    return [np.ones((values.shape[0] - p, 1)), *_lag_blocks(values, p), values[p:]]
+
+
+def _vecm_columns(blocks: list[np.ndarray], k: int) -> np.ndarray:
+    """[z2 | z0 | z1] = [1, dX_{t-1} .. dX_{t-k+1} | dX_t | X_{t-1}] from the
+    column blocks [1, X_{t-1} .. X_{t-p}, X_t] of a levels design, p >= k,
+    by differencing adjacent lag blocks; blocks past lag k are not read.
+
+    The map acts on columns alone: applied to the data's blocks it builds
+    the design, and applied to the column blocks of an R with levels
+    design = Q R it gives the design's coordinates in the same Q."""
+    const, lags, current = blocks[0], blocks[1:-1], blocks[-1]
+    diffs = [newer - older for newer, older in zip(lags[: k - 1], lags[1:k])]
+    return np.hstack([const, *diffs, current - lags[0], lags[0]])
+
+
 def _design(frame: Frame, k: int) -> np.ndarray:
     """[z2 | z0 | z1] over the T - k usable rows, with z2 = [1, dX_{t-1} ..
     dX_{t-k+1}], z0 = dX_t and z1 = X_{t-1}: one array, built once from the
-    frame's already validated values in the layout the concentration
+    frame's already validated levels blocks in the layout the concentration
     factors."""
     n_vars = frame.n_columns
     t = len(frame)
@@ -101,16 +134,34 @@ def _design(frame: Frame, k: int) -> np.ndarray:
             f"{t} rows are too few for the rank machinery with {n_vars} variables "
             f"and {k} lags"
         )
-    dx = np.diff(frame.values, axis=0)
-    return np.hstack(
-        [np.ones((t - k, 1)), *_lag_blocks(dx, k - 1), dx[k - 1 :], frame.values[k - 1 : t - 1]]
-    )
+    return _vecm_columns(_levels_blocks(frame.values, k), k)
 
 
 def _split(xy: np.ndarray, n_vars: int) -> list[np.ndarray]:
     """The z2, z0 and z1 column blocks, as views, of [z2 | z0 | z1] or of its R."""
     n_z2 = xy.shape[1] - 2 * n_vars
     return np.hsplit(xy, [n_z2, n_z2 + n_vars])
+
+
+class _Search(NamedTuple):
+    """A lag search that succeeded: its frame (held, so its identity stays
+    its own), its max_lag and the read-only R of its design
+    [1 | X_{t-1} .. X_{t-max_lag} | X_t]."""
+
+    frame: Frame
+    max_lag: int
+    r: np.ndarray
+
+
+# The last lag search that succeeded, kept by ``_keep_search`` for
+# ``_concentrate``; None before the first.
+_searched: _Search | None = None
+
+
+def _keep_search(frame: Frame, max_lag: int, r: np.ndarray) -> None:
+    """Keep a lag search's factor in place of the last one."""
+    global _searched
+    _searched = _Search(frame, max_lag, r)
 
 
 class _Concentration(NamedTuple):
@@ -142,12 +193,31 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
     R00[i, i]^2 / T_eff or R1[i, i]^2 / T_eff within PIVOT_TOL, the
     Cholesky pivot test of S00 or S11, raises ``SingularDesignError``
     naming i.
+
+    R has two sources. After a lag search of this frame object up to lag
+    p >= k, it is read off the search's kept factor: the search factored
+    L = [1 | X_{t-1} .. X_{t-p} | X_t] = Q R_L over rows t >= p, and
+    ``_vecm_columns`` maps columns alone, so it takes L to [z2 | z0 | z1]'s
+    rows t >= p and R_L to Q' times them, with the same Gram matrix.
+    Stacked on the p - k leading rows, which the search's sample leaves
+    out, the mapped R_L has the Gram matrix of all of [z2 | z0 | z1], so
+    one QR of that small array (at most 1 + K (p + 1) + p - k rows) gives
+    an R of it (Golub & Van Loan, Matrix Computations, 5.3). Otherwise R
+    comes from the QR of [z2 | z0 | z1] itself. The two differ only by
+    rounding.
     """
     n_vars = frame.n_columns
     xy = _design(frame, k)
     t_eff = xy.shape[0]
     n_z2 = xy.shape[1] - 2 * n_vars
-    fit = _factor(xy, n_z2)
+    search = _searched
+    if search is not None and search.frame is frame and search.max_lag >= k:
+        p = search.max_lag
+        blocks = np.hsplit(search.r, range(1, 2 + n_vars * p, n_vars))
+        stacked = np.vstack([_vecm_columns(blocks, k), xy[: p - k]])
+        fit = OlsFit(xy, np.linalg.qr(stacked, mode="r"), n_z2, n_z2)
+    else:
+        fit = _factor(xy, n_z2)
     below_z2 = fit.augmented_r[n_z2:, n_z2:]
     r00, r1_block = below_z2[:n_vars, :n_vars], below_z2[:, n_vars:]
     _require_pivots(np.diag(r00), t_eff, "S00")

@@ -627,6 +627,18 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"type": "DomainError", "message": f"shock factor must be finite, got {factor}"}
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_shock_factor_named(self, dataset, tmp_path, capsys):
+        conf = tmp_path / "huge.json"
+        conf.write_text('{"shock": {"factor": 1e308}}')
+        run_cli("--config", str(conf), "--dataset", str(dataset), "-o", str(tmp_path / "out"), "shock", expect=1)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == {
+            "type": "PipelineStageError",
+            "message": "stage 1 failed: shock factor 1e+308 overflows the shocked path",
+        }
+
     @pytest.mark.parametrize("lm_lags", ["0", "-2"])
     def test_lm_lags_below_one_rejected(self, dataset, tmp_path, capsys, lm_lags):
         out = tmp_path / "out"

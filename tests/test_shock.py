@@ -17,6 +17,7 @@ from vecmkit.errors import (
 )
 
 from vecmkit.shock import _frame_stages
+from vecmkit import vecm
 from vecmkit.vecm import _concentration
 
 from conftest import make_frame, simulate_vecm
@@ -25,9 +26,11 @@ FACTORS = (1.00, 1.05, 1.10, 1.15, 1.20)
 
 
 def clear_memos():
-    """Cold start: forget the kept frame stages and the kept concentration."""
+    """Cold start: forget the kept frame stages, the kept concentration and
+    the kept lag-search factor."""
     _frame_stages.cache_clear()
     _concentration.cache_clear()
+    vecm._searched = None
 
 
 def scenario(frame, **overrides):
@@ -78,6 +81,12 @@ class TestApplyShock:
             apply_multiplicative_shock(path, factor, QuarterIndex(2018, 1))
         with pytest.raises(DomainError, match=f"shock factor must be finite, got {factor}"):
             scenario(panel69, factor=factor)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_product_named(self):
+        path = Series("x", QuarterIndex(2018, 1), [1.0, 2.0, -3.0])
+        with pytest.raises(DomainError, match=r"shock factor 1e\+308 overflows the shocked path"):
+            apply_multiplicative_shock(path, 1e308, QuarterIndex(2018, 2))
 
     @pytest.mark.parametrize("factor", ["a", None])
     def test_non_real_factor_named(self, panel69, factor):

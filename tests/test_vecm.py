@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vecmkit as vk
@@ -17,7 +19,12 @@ from vecmkit import (
     vecm_to_levels_var,
 )
 from vecmkit import vecm
-from vecmkit.errors import InsufficientDataError, RankError, SingularDesignError
+from vecmkit.errors import (
+    DegenerateInputError,
+    InsufficientDataError,
+    RankError,
+    SingularDesignError,
+)
 from vecmkit.formatting import from_jsonable, to_jsonable
 from vecmkit.numerics import OlsFit, ols
 from vecmkit.quarterly import first_difference, lag_matrix
@@ -436,6 +443,159 @@ class TestConcentrationMemo:
                 array[0] = 0.5
 
 
+def fit_arrays(fit):
+    return (fit.alpha, fit.beta, fit.const, fit.residuals, fit.sigma, *fit.gammas)
+
+
+def random_walk(seed, t, n_vars):
+    return make_frame(np.cumsum(np.random.default_rng(seed).standard_normal((t, n_vars)), axis=0))
+
+
+class TestSharedFactor:
+    """After a lag search of the same frame with max_lag >= k, the rank test
+    and the fits read R off the search's kept factor instead of factoring
+    [z2 | z0 | z1]; results agree with the cold path to rounding."""
+
+    @staticmethod
+    def rank_test_and_fits(frame, k):
+        _concentration.cache_clear()
+        trace = johansen_trace(frame, k)
+        return trace, [fit_vecm(frame, k, r) for r in range(1, frame.n_columns)]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 4),
+        k=st.integers(1, 3),
+        extra_lags=st.integers(0, 2),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cold_path(self, seed, n_vars, k, extra_lags, data):
+        """Rank picks are identical. On well-conditioned input, trace
+        statistics agree within 1e-12 of the largest and every ``VecmFit``
+        array within 1e-10 of its largest entry.
+
+        The fewest rows drawn leave the widest lag search one residual
+        degree of freedom per variable. Input is well-conditioned here when
+        the largest eigenvalue lies in [1e-3, 1 - 1e-3] and no normalized
+        beta entry exceeds 1e3. Outside that, rounding at the eigenvalues'
+        level can exceed the relative bounds on either path:
+        ``test_eigenvalue_corners`` and ``test_ill_conditioned_normalization``
+        pin one example of each kind."""
+        max_lag = k + extra_lags
+        t_min = (n_vars + 1) * max_lag + n_vars + 2
+        frame = random_walk(seed, data.draw(st.integers(t_min, 200), label="T"), n_vars)
+        vecm._searched = None
+        cold_trace, cold_fits = self.rank_test_and_fits(frame, k)
+        lag_order_selection(frame, max_lag)
+        with mock.patch.object(vecm, "_factor", wraps=vecm._factor) as factor:
+            trace, fits = self.rank_test_and_fits(frame, k)
+        factor.assert_not_called()
+        assert select_rank(trace) == select_rank(cold_trace)
+        assume(1e-3 <= cold_trace.eigenvalues[0] <= 1 - 1e-3)
+        assume(all(np.abs(cold.beta).max() <= 1e3 for cold in cold_fits))
+        gap = np.abs(trace.trace_stats - cold_trace.trace_stats)
+        assert gap.max() <= 1e-12 * np.abs(cold_trace.trace_stats).max()
+        for fit, cold in zip(fits, cold_fits):
+            assert fit.beta_pivot == cold.beta_pivot
+            for got, want in zip(fit_arrays(fit), fit_arrays(cold)):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "seed, t, n_vars, k, corner",
+        [(2567, 10, 2, 2, "one"), (50788647, 82, 1, 1, "zero")],
+        ids=["near-one", "near-zero"],
+    )
+    def test_eigenvalue_corners(self, seed, t, n_vars, k, corner):
+        """An eigenvalue within 1e-4 of 1 or of 0. The paths agree in the
+        eigenvalues within 8 ulps of 1 and in the rank pick, but not in the
+        trace statistics within 1e-12 of the largest: near 1, a statistic's
+        condition number is T_eff / (1 - lambda), and a 50-digit reference
+        puts the cold path itself 2.2e-12 of the largest statistic off in
+        the first example; near 0, one ulp of 1 is a large part of lambda,
+        and the second example's only statistic is 1.1e-3."""
+        frame = random_walk(seed, t, n_vars)
+        vecm._searched = None
+        cold, _ = self.rank_test_and_fits(frame, k)
+        lam = cold.eigenvalues[0] if corner == "zero" else 1 - cold.eigenvalues[0]
+        assert lam < 1e-4
+        lag_order_selection(frame, k)
+        assert vecm._searched.frame is frame
+        shared, _ = self.rank_test_and_fits(frame, k)
+        assert np.abs(shared.eigenvalues - cold.eigenvalues).max() <= 8 * np.finfo(float).eps
+        assert select_rank(shared) == select_rank(cold)
+
+    def test_ill_conditioned_normalization(self):
+        """Here beta's first row is nearly zero, so normalizing it to 1
+        scales beta by 4.5e4 and alpha by its inverse: the two paths'
+        alpha and beta differ by 1.5e-10 of their largest entries, each
+        accurate given its own beta. Pi = alpha beta', the constant, the
+        residuals and sigma do not depend on the normalization, and they
+        agree to rounding."""
+        frame = random_walk(17504, 88, 2)
+        vecm._searched = None
+        _, [cold] = self.rank_test_and_fits(frame, 1)
+        assert np.abs(cold.beta).max() > 1e4
+        lag_order_selection(frame, 1)
+        assert vecm._searched.frame is frame
+        _, [shared] = self.rank_test_and_fits(frame, 1)
+        for name in ("pi", "const", "residuals", "sigma"):
+            got, want = getattr(shared, name), getattr(cold, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    @pytest.fixture()
+    def fresh_factors(self, monkeypatch):
+        """Shapes of the designs the concentration factors itself, from an
+        empty search slot and concentration memo."""
+        calls = []
+        real = vecm._factor
+
+        def spy(xy, n_x):
+            calls.append(xy.shape)
+            return real(xy, n_x)
+
+        monkeypatch.setattr(vecm, "_factor", spy)
+        monkeypatch.setattr(vecm, "_searched", None)
+        _concentration.cache_clear()
+        return calls
+
+    def test_not_taken_for_an_equal_copy(self, panel69, fresh_factors):
+        """The slot is keyed by identity: an equal frame built apart, as a
+        CLI run loads its own, is factored cold."""
+        lag_order_selection(panel69, 4)
+        twin = vk.Frame(panel69.start, panel69.names, np.array(panel69.values))
+        johansen_trace(twin, 2)
+        fit_vecm(panel69, 2, 2)  # the concentration's memo is keyed by content
+        assert fresh_factors == [(67, 19)]
+
+    def test_not_taken_for_another_frame(self, panel69, fresh_factors):
+        lag_order_selection(panel69.head(60), 4)
+        johansen_trace(panel69, 2)
+        assert fresh_factors == [(67, 19)]
+
+    def test_not_taken_below_k(self, panel69, fresh_factors):
+        lag_order_selection(panel69, 1)
+        johansen_trace(panel69, 2)
+        assert fresh_factors == [(67, 19)]
+
+    def test_not_taken_after_a_search_that_raised(self, fresh_factors):
+        # two spare rows for K = 2 at max_lag 2: the widest residual
+        # covariance is singular, after the design was factored
+        frame = random_walk(3, 8, 2)
+        with pytest.raises(DegenerateInputError):
+            lag_order_selection(frame, 2)
+        assert vecm._searched is None
+        johansen_trace(frame, 1)
+        assert fresh_factors == [(7, 5)]
+
+    def test_kept_factor_is_read_only(self, panel69, fresh_factors):
+        lag_order_selection(panel69, 4)
+        kept = vecm._searched
+        assert kept.frame is panel69 and kept.max_lag == 4 and kept.r.shape == (31, 31)
+        with pytest.raises(ValueError):
+            kept.r[0, 0] = 1.0
+
+
 class TestFitVecm:
     def test_rank_bounds_rejected_with_guidance(self, panel69):
         with pytest.raises(RankError, match="differences"):
@@ -556,12 +716,31 @@ class TestFitVecm:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", spy)
+        monkeypatch.setattr(vecm, "_searched", None)
         _concentration.cache_clear()
         if warm:
             johansen_trace(panel69, 2)
         fit_vecm(panel69, 2, 2)
         # the concentration's [1, dX_{t-1} | dX_t | X_{t-1}]
         assert [shape for shape in calls if shape[0] == 67] == [(67, 19)]
+
+    def test_no_panel_length_qr_after_a_lag_search(self, panel69, monkeypatch):
+        """After a lag search of the panel, the rank test and the fit factor
+        no panel-length matrix: R comes off the search's kept factor."""
+        monkeypatch.setattr(vecm, "_searched", None)
+        _concentration.cache_clear()
+        lag_order_selection(panel69, 4)
+        calls = []
+        real = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        johansen_trace(panel69, 2)
+        fit_vecm(panel69, 2, 2)
+        assert calls and all(shape[0] < 60 for shape in calls)
 
     def test_serialization_roundtrip(self, panel69):
         fit = fit_vecm(panel69, 2, 2)

@@ -14,13 +14,18 @@ fit's largest error relative to the block's largest reference entry, and
 the median and the worst over all blocks.
 
 On the study panels it also checks the two propagations of each fit's
-levels VAR (``vecm_to_levels_var``) over HORIZON steps: ``forecast_vecm``
+levels VAR (``vecm_to_levels_var``) over HORIZON steps, ``forecast_vecm``
 and the orthogonalized MA stack Phi_h P that ``orthogonalized_irfs``
-slices, each against the same fit's recursion run as a per-lag loop in
-np.longdouble (P, the fit's Cholesky factor, is shared). It prints the
-median and the worst over the panels of the largest error relative to the
-largest reference entry, and exits 1 when either worst exceeds
-RECURSION_BOUND.
+slices, and the stage-2 forecast of ``run_three_stage`` (factor
+SHOCK_FACTOR), whose drive carries the shocked exogenous path. On the
+rolling shape it checks ``forecast_vecm`` over ROLLING_HOLDOUT steps. Each
+is compared with the same fit's recursion run as a per-lag loop in
+np.longdouble (P, the fit's Cholesky factor, is shared). The study
+propagations have K p of 5 to 12 over 20 steps, so ``var._recursion``
+evaluates them by doubling; the rolling one has K p = 48 over 8 steps and
+takes the step loop. The script prints the median and the worst over the
+frames of the largest error relative to the largest reference entry, and
+exits 1 when any worst exceeds RECURSION_BOUND.
 
 On the rolling shape it runs ``lag_order_selection(frame, ROLLING_MAX_LAG)``
 before each fit, as the benchmark's rolling backtest does, so the fits it
@@ -57,7 +62,10 @@ ROLLING_LAGS, ROLLING_RANK = 4, 4
 ROLLING_MAX_LAG = 6
 ROLLING_PANELS = 4
 ROLLING_ORIGINS = range(400, 793)
+ROLLING_HOLDOUT = 8
 HORIZON = 20
+TARGET = "exchange_rate"
+SHOCK_FACTOR = 1.1
 RECURSION_BOUND = 1e-13
 SHARED_TRACE_BOUND = 1e-10
 
@@ -113,14 +121,45 @@ def extended_recursion(var: vk.VarFit, start: np.ndarray, drive: np.ndarray) -> 
     return np.array(history[var.p :])
 
 
+def relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def forecast_error(fit: vk.VecmFit, horizon: int) -> float:
+    """Largest error of ``forecast_vecm`` against its extended-precision
+    reference, relative to the reference's largest entry."""
+    var = vk.vecm_to_levels_var(fit)
+    want = extended_recursion(var, var.tail, np.tile(var.const, (horizon, 1)))
+    return relative_error(vk.forecast_vecm(fit, horizon).values, want)
+
+
+def stage2_error(frame: vk.Frame) -> float:
+    """Largest error of the shock pipeline's stage-2 forecast against the
+    stage-2 VAR's recursion in np.longdouble, driven by its constant and the
+    shocked target differences, relative to the reference's largest entry.
+    The VAR is refitted here as the pipeline fits it."""
+    scenario = vk.ShockScenario(
+        TARGET, SHOCK_FACTOR, frame.end.next(), HORIZON, STUDY_LAGS, STUDY_RANK
+    )
+    result = vk.run_three_stage(frame, scenario)
+    d_frame = vk.first_difference(frame)
+    fit = vk.fit_var(
+        d_frame.drop(TARGET), result.audit["stage2"]["lag_order"], exog=d_frame.select([TARGET])
+    )
+    path = np.diff(np.concatenate([frame.column(TARGET)[-1:], result.shocked_path.values]))
+    ld = np.longdouble
+    drive = fit.const.astype(ld) + np.outer(path.astype(ld), fit.exog_coef[:, 0].astype(ld))
+    want = extended_recursion(fit, fit.tail, drive)
+    return relative_error(result.stage2_forecast.values, want)
+
+
 def recursion_errors(frame: vk.Frame) -> dict[str, float]:
-    """Largest error of the forecast and of the Phi_h P stack, relative to
-    the largest entry of its extended-precision reference."""
+    """Largest error of the forecast, of the Phi_h P stack and of the
+    stage-2 forecast, each relative to the largest entry of its
+    extended-precision reference."""
     fit = vk.fit_vecm(frame, STUDY_LAGS, STUDY_RANK)
     var = vk.vecm_to_levels_var(fit)
     k = var.n_vars
-    forecast = vk.forecast_vecm(fit, HORIZON).values
-    want_forecast = extended_recursion(var, var.tail, np.tile(var.const, (HORIZON, 1)))
     stack = np.empty((HORIZON + 1, k, k))
     for i, impulse in enumerate(var.names):
         for j, irf in enumerate(vk.orthogonalized_irfs(var, HORIZON, impulse).values()):
@@ -130,11 +169,9 @@ def recursion_errors(frame: vk.Frame) -> dict[str, float]:
     phis = extended_recursion(var, np.zeros((var.p, k, k)), impulse)
     want_stack = phis @ vk.cholesky_lower(var.sigma).astype(np.longdouble)
     return {
-        name: float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-        for name, got, want in (
-            ("forecast", forecast, want_forecast),
-            ("phi_p", stack, want_stack),
-        )
+        "forecast": forecast_error(fit, HORIZON),
+        "phi_p": relative_error(stack, want_stack),
+        "stage2": stage2_error(frame),
     }
 
 
@@ -186,15 +223,18 @@ def main(argv=None) -> int:
     worst = report(
         f"study recursion, {HORIZON} steps", [recursion_errors(frame) for frame in study]
     )
-    gaps, errors = [], []
+    gaps, errors, forecasts = [], [], []
     for frame in rolling_frames(args.seed, args.origins):
         gaps.append(shared_trace_gap(frame))
         errors.append(block_errors(frame, ROLLING_LAGS, ROLLING_RANK))
+        fit = vk.fit_vecm(frame, ROLLING_LAGS, ROLLING_RANK)
+        forecasts.append({"forecast": forecast_error(fit, ROLLING_HOLDOUT)})
     report(
         f"rolling, {args.origins} origins of 800x12 panels (k={ROLLING_LAGS}, "
         f"r={ROLLING_RANK}, after lag_order_selection to {ROLLING_MAX_LAG}, seed {args.seed})",
         errors,
     )
+    worst = max(worst, report(f"rolling recursion, {ROLLING_HOLDOUT} steps", forecasts))
     print(
         f"rolling trace statistics, shared against cold factor: median and worst "
         f"relative gap {np.median(gaps):.2e} {max(gaps):.2e}"

@@ -77,9 +77,10 @@ class ConfigError(VecmkitError):
 
 
 class PipelineStageError(VecmkitError):
-    """An estimation step inside the multi-stage shock pipeline failed."""
+    """An estimation step inside the multi-stage shock pipeline failed;
+    ``detail``, when given, follows the cause's message."""
 
-    def __init__(self, stage: int, cause: Exception):
-        super().__init__(f"stage {stage} failed: {cause}")
+    def __init__(self, stage: int, cause: Exception, detail: str = ""):
+        super().__init__(f"stage {stage} failed: {cause}{detail}")
         self.stage = stage
         self.cause = cause

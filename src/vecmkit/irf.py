@@ -5,9 +5,13 @@ coefficient matrices of the fitted VAR and P is the Cholesky factor of the
 residual covariance, so a unit impulse is one standard deviation of the
 orthogonalized shock and the variable ordering of the fit decides the
 orthogonalization. The MA matrices come from the one VAR recursion of
-``var`` driven by a unit impulse: Phi_0 = I, from p zero blocks, with the
-K x K blocks kept newest first so each step is one product of [A_1 .. A_p]
-with the p blocks after it.
+``var`` driven by a unit impulse: Phi_0 = I, from p zero blocks. Its rule
+picks the evaluation order from K p and the horizon alone: a companion of
+width K p <= 16 over at least 10 blocks (horizon >= 9) is propagated by
+doubling, every round one product of all the blocks with a power C^(2^r)
+of the companion, and anything else step by step, each step one product
+of [A_1 .. A_p] with the p blocks before it. The two orders agree to
+rounding.
 
 The stack Phi_h P depends only on the fit and the horizon, and a fit never
 changes, so it is built once per (fit, horizon), kept read-only on the fit,

@@ -22,7 +22,9 @@ on in-sample rows, where every factor's spliced path equals the differenced
 actuals, so its exogenous block is the differenced target column of the
 sample alone. The factor reaches stage 2 only through the forecast's
 ``exog_path``: a one-column ``Frame`` of the spliced path's shocked rows,
-starting at the first forecast quarter.
+starting at the first forecast quarter, differenced from the last
+in-sample target on. A stage-3 failure names the factor, since the factor
+reaches that fit through those rows.
 """
 
 from __future__ import annotations
@@ -130,11 +132,6 @@ def _stage(n: int, fn, *args, **kwargs):
         raise PipelineStageError(n, exc) from exc
 
 
-def _span(frame: Frame) -> dict:
-    """A stage's sample range and row count, as the audit records them."""
-    return {"sample": [str(frame.start), str(frame.end)], "n_rows": len(frame)}
-
-
 class _FrameStages(NamedTuple):
     """The shock-independent part of a run; every field is immutable."""
 
@@ -228,32 +225,50 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
 
     # Stage 2: splice actual + shocked target, hold the spliced path
     # exogenous, conditionally forecast the rest. The factor enters only
-    # through the spliced path's forecast rows.
-    d_spliced = np.diff(np.concatenate([frame.column(target), shocked.values]))
-    path = Frame(forecast_start, (target,), d_spliced[len(d_frame) :, None])
+    # through the spliced path's forecast rows, the differences of the last
+    # in-sample target and the shocked path.
+    d_path = np.diff(np.concatenate([frame.column(target)[-1:], shocked.values]))
+    path = Frame(forecast_start, (target,), d_path[:, None])
     stage2_forecast = _stage(2, forecast_var, fit2, horizon, exog_path=path)
 
     # Stage 3: the differenced in-sample rows, then the stage-2 forecasts
     # with the spliced path back in the target's column; the target is
     # endogenous again, and the IRFs are read off the refitted VAR.
-    rows = np.insert(stage2_forecast.values, frame.names.index(target), path.values[:, 0], axis=1)
+    rows = np.insert(stage2_forecast.values, frame.names.index(target), d_path, axis=1)
     stage3_frame = Frame(d_frame.start, frame.names, np.vstack([d_frame.values, rows]))
-    fit3 = _stage(3, fit_var, stage3_frame, p3)
-    irfs = _stage(3, orthogonalized_irfs, fit3, horizon, target)
+    try:
+        fit3 = fit_var(stage3_frame, p3)
+        irfs = orthogonalized_irfs(fit3, horizon, target)
+    except VecmkitError as exc:
+        # The factor reaches stage 3 through the target's spliced rows, so
+        # its failure names the factor and the scale it gave those rows.
+        raise PipelineStageError(
+            3,
+            exc,
+            f" under shock factor {scenario.factor}: the target's shocked differences "
+            f"reach {np.abs(d_path).max():.3g}, its in-sample ones "
+            f"{np.abs(d_frame.column(target)).max():.3g}",
+        ) from exc
 
+    # Each quarter label once: the differenced sample ends with the sample,
+    # and stage 3 and the stage-2 forecasts end with the forecast window.
+    first, d_first, last = str(frame.start), str(d_frame.start), str(frame.end)
+    window = [str(forecast_start), str(forecast_end)]
     audit = {
         "lag_order_source": stages.lag_source,
         "stage1": {
             "scale": "levels",
-            **_span(frame),
+            "sample": [first, last],
+            "n_rows": len(frame),
             "vecm_lags": scenario.vecm_lags,
             "rank": scenario.rank,
             "residual_rows": stages.residual_rows,
-            "forecast_window": [str(forecast_start), str(forecast_end)],
+            "forecast_window": window,
         },
         "stage2": {
             "scale": "differences",
-            **_span(d_frame),
+            "sample": [d_first, last],
+            "n_rows": len(d_frame),
             "lag_order": p2,
             "rows_used": len(d_frame) - p2,
             "exogenous": [target],
@@ -262,12 +277,13 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
         },
         "stage3": {
             "scale": "differences",
-            **_span(stage3_frame),
+            "sample": [d_first, window[1]],
+            "n_rows": len(stage3_frame),
             "lag_order": p3,
             "rows_used": len(stage3_frame) - p3,
             "row_provenance": {
-                "differenced_actuals": [str(d_frame.start), str(d_frame.end)],
-                "stage2_forecasts": [str(stage2_forecast.start), str(stage2_forecast.end)],
+                "differenced_actuals": [d_first, last],
+                "stage2_forecasts": list(window),
                 "target_column": "differenced in-sample actuals spliced with shocked forecast",
             },
         },

@@ -35,12 +35,23 @@ statistic within rounding of its critical value. The kept search is matched
 by identity, unlike the concentration memo: a frame loaded or built apart
 from the searched one, equal or not, is concentrated cold, so a CLI run,
 which loads its own copy of the panel, never reads a search made before it.
+
+Results built from a concentration are kept with it. ``fit_vecm`` keeps its
+fit per rank on the concentration record, so a second fit of an equal frame
+at the same k and r (the rank test's panel, say, refitted by stage 1 of the
+shock pipeline) returns the same ``VecmFit``; and a ``VecmFit`` keeps the
+levels VAR of ``vecm_to_levels_var``, so ``forecast_vecm``,
+``vecm_stability`` and every outside caller share one conversion and the
+IRF stacks kept on it. Both are read-only records built from read-only
+arrays, so a kept result equals a fresh one bit for bit; a call that raises
+keeps nothing. Two threads racing on one record may both build a result;
+they keep equal ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,8 +88,12 @@ def trace_statistics(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:
     lam = _as_finite(eigenvalues, "eigenvalues", ndim=1)
     if np.any(lam < 0) or np.any(lam >= 1):
         raise DomainError("eigenvalues must lie in [0, 1)")
-    tail = -t_eff * np.cumsum(np.log1p(-lam)[::-1])[::-1]
-    return tail
+    return _trace_sums(np.log1p(-lam), t_eff)
+
+
+def _trace_sums(log_complements: np.ndarray, t_eff: int) -> np.ndarray:
+    """-T_eff times the sums of ln(1 - lambda_i) over i > r, r = 0..K-1."""
+    return -t_eff * np.cumsum(log_complements[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -166,13 +181,18 @@ def _keep_search(frame: Frame, max_lag: int, r: np.ndarray) -> None:
 
 class _Concentration(NamedTuple):
     """The eigen step of the rank test, the array it came from and that
-    array's factor; every array is read-only."""
+    array's factor; every array is read-only. ``fits`` holds the result of
+    ``fit_vecm`` per rank, filled by its first successful call: a fit
+    depends only on this record and the frame's content, which the memo
+    key fixes."""
 
     eigenvalues: np.ndarray  # (K,), descending, clipped to [0, 1)
+    log_complements: np.ndarray  # (K,), ln(1 - lambda_i), aligned
     eigenvectors: np.ndarray  # K x K, columns aligned
     t_eff: int
     xy: np.ndarray  # [z2 | z0 | z1], T_eff x (1 + K (k + 1))
     r: np.ndarray  # R of xy
+    fits: dict[int, VecmFit]
 
 
 def _concentrate(frame: Frame, k: int) -> _Concentration:
@@ -189,7 +209,11 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
     the orthonormal bases Q [I; 0] and Q Q1, so the canonical correlations
     are the singular values of Q1's first K rows, Q1[:K] = U diag(c) V'.
     The eigenvalues are c^2 and the eigenvectors, normalized to
-    v' S11 v = 1, are sqrt(T_eff) R1^-1 V (Björck & Golub 1973). A pivot
+    v' S11 v = 1, are sqrt(T_eff) R1^-1 V (Björck & Golub 1973). Q1 V has
+    orthonormal columns, so 1 - c_i^2 is s_i^2, the squared norm of column
+    i of Q1[K:] V: ln(1 - lambda_i) is log1p(-c_i^2) below c_i^2 = 1/2 and
+    ln(s_i^2) above, where 1 - c_i^2 would cancel, with s_i^2 held at or
+    above 1 - _EIGENVALUE_CEIL as lambda_i is held at or below it. A pivot
     R00[i, i]^2 / T_eff or R1[i, i]^2 / T_eff within PIVOT_TOL, the
     Cholesky pivot test of S00 or S11, raises ``SingularDesignError``
     naming i.
@@ -225,10 +249,12 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
     _require_pivots(np.diag(r1), t_eff, "S11")
     _, cosines, vt = np.linalg.svd(q1[:n_vars])
     lam = np.clip(cosines**2, 0.0, _EIGENVALUE_CEIL)
+    sines_sq = np.maximum(np.sum((q1[n_vars:] @ vt.T) ** 2, axis=0), 1.0 - _EIGENVALUE_CEIL)
+    logs = np.where(lam < 0.5, np.log1p(-lam), np.log(sines_sq))
     vectors = np.sqrt(t_eff) * np.linalg.solve(r1, vt.T)
-    for shared in (lam, vectors):
+    for shared in (lam, logs, vectors):
         shared.setflags(write=False)
-    return _Concentration(lam, vectors, t_eff, xy, fit.augmented_r)
+    return _Concentration(lam, logs, vectors, t_eff, xy, fit.augmented_r, {})
 
 
 def _require_pivots(diag: np.ndarray, t_eff: int, name: str) -> None:
@@ -260,7 +286,7 @@ def johansen_trace(frame: Frame, k: int) -> JohansenResult:
         raise DomainError(f"no trace critical value for K - r = {n_vars}; table covers 1..12")
     concentration = _concentration(frame, k)
     lam, t_eff = concentration.eigenvalues, concentration.t_eff
-    stats = trace_statistics(lam, t_eff)
+    stats = _trace_sums(concentration.log_complements, t_eff)
     crit = np.array([TRACE_CRIT_5PCT[n_vars - r] for r in range(n_vars)])
     return JohansenResult(
         names=frame.names,
@@ -318,6 +344,23 @@ class VecmFit:
         """Long-run matrix alpha @ beta'."""
         return self.alpha @ self.beta.T
 
+    @cached_property
+    def _levels_var(self) -> VarFit:
+        """The levels VAR of ``vecm_to_levels_var``, built on first read and
+        kept; a fit's arrays are read-only, so it stays valid."""
+        g = [-(self.pi + np.eye(self.n_vars)), *self.gammas, 0.0]
+        return VarFit(
+            p=self.lags,
+            names=self.names,
+            coef_matrices=tuple(b - a for a, b in zip(g, g[1:])),
+            const=self.const,
+            residuals=self.residuals,
+            sigma=self.sigma,
+            sample_start=self.sample_start,
+            n_sample=self.n_sample,
+            tail=self.tail,
+        )
+
 
 def _first_independent_rows(beta: np.ndarray, r: int) -> tuple[int, ...]:
     """First (in row order) set of r rows of beta forming a nonsingular block.
@@ -350,6 +393,11 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
     [R_z2, R_z1 beta, R_z0], so the QR of that small matrix (as many rows as
     R has) is a QR of [design | z0], and no T-row matrix is factored. R_z2
     is already triangular, so that QR leaves the z2 block as it is.
+
+    The fit is kept per rank on the concentration record it reads, so a
+    second call for an equal frame, k and r (while the memo holds that
+    concentration) returns the same ``VecmFit`` object; a raising call keeps
+    nothing.
     """
     n_vars = frame.n_columns
     if not 0 < r < n_vars:
@@ -358,6 +406,8 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
             "Use a VAR in differences for r=0 or a levels VAR for r=K."
         )
     concentration = _concentration(frame, k)
+    if r in concentration.fits:
+        return concentration.fits[r]
     z2, z0, z1 = _split(concentration.xy, n_vars)
     beta_raw = concentration.eigenvectors[:, :r]
     pivot = _first_independent_rows(beta_raw, r)
@@ -375,7 +425,7 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
     gammas = tuple(coef[1 + n_vars * (i - 1) : 1 + n_vars * i].T.copy() for i in range(1, k))
     alpha = coef[n_z2:].T.copy()
 
-    return VecmFit(
+    vfit = VecmFit(
         rank=r,
         names=frame.names,
         lags=k,
@@ -390,24 +440,19 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
         tail=frame.tail_rows(k),
         beta_pivot=pivot,
     )
+    concentration.fits[r] = vfit
+    return vfit
 
 
 def vecm_to_levels_var(fit: VecmFit) -> VarFit:
     """Algebraically identical levels VAR(k): A_1 = Pi + I + Gamma_1,
     A_i = Gamma_i - Gamma_{i-1} for 1 < i < k, A_k = -Gamma_{k-1}, that is
-    A_i = g_i - g_{i-1} over g = [-(Pi + I), Gamma_1 .. Gamma_{k-1}, 0]."""
-    g = [-(fit.pi + np.eye(fit.n_vars)), *fit.gammas, 0.0]
-    return VarFit(
-        p=fit.lags,
-        names=fit.names,
-        coef_matrices=tuple(b - a for a, b in zip(g, g[1:])),
-        const=fit.const,
-        residuals=fit.residuals,
-        sigma=fit.sigma,
-        sample_start=fit.sample_start,
-        n_sample=fit.n_sample,
-        tail=fit.tail,
-    )
+    A_i = g_i - g_{i-1} over g = [-(Pi + I), Gamma_1 .. Gamma_{k-1}, 0].
+
+    It is built once per fit and kept on it: every call returns the same
+    ``VarFit``, so ``forecast_vecm``, ``vecm_stability`` and the IRF stacks
+    kept on that ``VarFit`` are shared by every caller of one fit."""
+    return fit._levels_var
 
 
 def forecast_vecm(fit: VecmFit, horizon: int) -> Frame:

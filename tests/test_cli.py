@@ -639,6 +639,20 @@ class TestErrorReporting:
             "message": "stage 1 failed: shock factor 1e+308 overflows the shocked path",
         }
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_shock_factor_named(self, dataset, tmp_path, capsys):
+        conf = tmp_path / "huge.json"
+        conf.write_text('{"shock": {"factor": 1e300}}')
+        run_cli("--config", str(conf), "--dataset", str(dataset), "-o", str(tmp_path / "out"), "shock", expect=1)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == {
+            "type": "PipelineStageError",
+            "message": "stage 3 failed: design matrix is rank deficient (column pivot 0) under "
+            "shock factor 1e+300: the target's shocked differences reach 8.81e+300, its "
+            "in-sample ones 0.558",
+        }
+
     @pytest.mark.parametrize("lm_lags", ["0", "-2"])
     def test_lm_lags_below_one_rejected(self, dataset, tmp_path, capsys, lm_lags):
         out = tmp_path / "out"

@@ -217,6 +217,19 @@ class TestRunThreeStage:
                                             start=short.end.next()))
         assert err.value.stage == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_factor_named_in_stage3_failure(self, panel69):
+        """A factor whose product stays finite but swamps the stage-3 design
+        fails there, naming the factor and the scale of the target's rows."""
+        with pytest.raises(PipelineStageError) as err:
+            run_three_stage(panel69, scenario(panel69, factor=1e300))
+        assert err.value.stage == 3
+        assert str(err.value) == (
+            "stage 3 failed: design matrix is rank deficient (column pivot 0) under shock "
+            "factor 1e+300: the target's shocked differences reach 8.81e+300, its in-sample "
+            "ones 0.558"
+        )
+
     def test_lag_orders_recorded_in_audit(self, panel69):
         picked = run_three_stage(panel69, scenario(panel69))
         assert picked.audit["lag_order_source"].startswith("aic")

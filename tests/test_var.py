@@ -15,7 +15,15 @@ from vecmkit.errors import CoverageError, InsufficientDataError, MissingColumnEr
 from vecmkit.formatting import from_jsonable, to_jsonable
 from vecmkit.numerics import ols
 
-from conftest import make_frame, random_stable_var, random_stable_var1, simulate_var
+from vecmkit import var
+
+from conftest import (
+    make_frame,
+    random_stable_var,
+    random_stable_var1,
+    simulate_var,
+    well_specified_vecm_fit,
+)
 
 
 def z_frame(values, start="2001Q1"):
@@ -492,3 +500,91 @@ class TestAnyExogLags:
             want.append(y)
         path = make_frame(z[t:], start=str(frame.end.next()), names=names)
         assert self.close(forecast_var(fit, horizon, exog_path=path).values, np.array(want))
+
+
+def lag_fit(coef_matrices, tail):
+    """A VarFit with the given lag matrices and tail, a unit constant and an
+    identity covariance."""
+    p, k = tail.shape
+    return VarFit(
+        p=p,
+        names=tuple(f"x{i + 1}" for i in range(k)),
+        coef_matrices=tuple(coef_matrices),
+        const=np.ones(k),
+        residuals=np.zeros((10, k)),
+        sigma=np.eye(k),
+        sample_start=vk.parse_quarter("2001Q1"),
+        n_sample=10 + p,
+        tail=tail,
+    )
+
+
+class TestEvaluationOrders:
+    """The recursion's two evaluation orders, the doubling scan and the step
+    loop, agree within 1e-12 of the largest entry (a bound stated up
+    front), and the size rule picks one by K p and the number of rows."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        p=st.integers(1, 4),
+        horizon=st.integers(0, 64),
+        block=st.booleans(),
+        unit_root=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_scan_equals_step_loop(self, seed, k, p, horizon, block, unit_root):
+        rng = np.random.default_rng(seed)
+        if unit_root:
+            # a VECM's levels VAR with K - r unit roots; it needs K >= 2
+            levels = vk.vecm_to_levels_var(
+                well_specified_vecm_fit(rng, max(k, 2), max(k, 2) - 1, n_gammas=p - 1)
+            )
+            k = levels.n_vars
+            fit = lag_fit(levels.coef_matrices, rng.standard_normal((p, k)))
+        else:
+            fit = lag_fit(random_stable_var(rng, k, p, radius=0.95), rng.standard_normal((p, k)))
+        n = horizon + 1
+        if block:
+            # the MA recursion: a unit impulse from p zero blocks
+            start, drive = np.zeros((p, k, k)), np.zeros((n, k, k))
+            drive[0] = np.eye(k)
+        else:
+            # a forecast with exogenous terms: a different drive every row
+            start, drive = fit.tail, rng.standard_normal(k) + rng.standard_normal((n, k))
+        got, want = var._scan(fit, start, drive), var._steps(fit, start, drive)
+        assert got.shape == want.shape == drive.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        ("k", "p", "rows", "path"),
+        [
+            (16, 1, 10, "_scan"),
+            (8, 2, 21, "_scan"),
+            (6, 1, 20, "_scan"),
+            (17, 1, 10, "_steps"),
+            (6, 3, 40, "_steps"),
+            (12, 4, 8, "_steps"),
+            (16, 1, 9, "_steps"),
+            (2, 1, 1, "_steps"),
+        ],
+    )
+    @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+    def test_size_rule(self, monkeypatch, k, p, rows, path, block):
+        """K p <= 16 over at least 10 rows takes the scan, anything else
+        the step loop, for vector rows and K x K blocks alike."""
+        taken = []
+        for name in ("_scan", "_steps"):
+            real = getattr(var, name)
+
+            def spy(*args, name=name, real=real):
+                taken.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(var, name, spy)
+        fit = lag_fit(tuple(0.1 * np.eye(k) for _ in range(p)), np.ones((p, k)))
+        if block:
+            vk.ma_coefficients(fit, rows - 1)
+        else:
+            forecast_var(fit, rows)
+        assert taken == [path]

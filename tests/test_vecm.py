@@ -76,6 +76,21 @@ class TestTraceStatistics:
         result = johansen_trace(panel69, 2)
         assert np.all(np.diff(result.trace_stats) < 0)
 
+    def test_eigenvalue_near_one(self):
+        """lambda_1 = 1 - 9.6e-6 on a 10x2 random walk at k = 2: the rank
+        test takes ln(1 - lambda_1) from the squared sines, with no
+        cancellation, so both statistics stay within 5e-14 relative of a
+        50-digit mpmath reference (the S-matrix eigenproblem on the same
+        design), where log1p(-lambda_1) puts the first 2.2e-12 off."""
+        reference = (92.45505175571844679976116, 0.0003982457790337177737647645)
+        frame = random_walk(2567, 10, 2)
+        vecm._searched = None
+        _concentration.cache_clear()
+        result = johansen_trace(frame, 2)
+        assert 1 - result.eigenvalues[0] < 1e-5
+        for got, want in zip(result.trace_stats, reference, strict=True):
+            assert abs(got - want) <= 5e-14 * want
+
 
 class TestCriticalValues:
     def test_pinned_published_entries(self):
@@ -432,6 +447,39 @@ class TestConcentrationMemo:
                 johansen_trace(short, 5)
         info = _concentration.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_fit_is_kept_per_rank(self, panel69):
+        """A second fit of an equal frame at the same k and r returns the
+        kept fit, bit for bit what a cold fit gives; another rank or k
+        fits afresh."""
+        cold = {}
+        for r in (1, 2):
+            _concentration.cache_clear()
+            cold[r] = fit_fields(fit_vecm(panel69, 2, r))
+        _concentration.cache_clear()
+        first = fit_vecm(panel69, 2, 2)
+        twin = vk.Frame(panel69.start, panel69.names, np.array(panel69.values))
+        assert fit_vecm(twin, 2, 2) is first
+        assert fit_fields(first) == cold[2]
+        other = fit_vecm(panel69, 2, 1)
+        assert other is not first and fit_fields(other) == cold[1]
+        assert fit_vecm(panel69, 2, 1) is other
+        assert fit_vecm(panel69, 3, 2) is not first
+
+    def test_raising_fit_keeps_nothing(self, panel69, monkeypatch):
+        def fail(beta, r):
+            raise SingularDesignError("cointegrating vectors do not have full column rank")
+
+        _concentration.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(vecm, "_first_independent_rows", fail)
+            for _ in range(2):
+                with pytest.raises(SingularDesignError):
+                    fit_vecm(panel69, 2, 2)
+            assert _concentration(panel69, 2).fits == {}
+        fit = fit_vecm(panel69, 2, 2)
+        kept = _concentration(panel69, 2).fits
+        assert list(kept) == [2] and kept[2] is fit
 
     def test_cached_arrays_are_read_only(self, panel69):
         _concentration.cache_clear()
@@ -806,6 +854,12 @@ class TestFirstIndependentRows:
 
 
 class TestLevelsConversion:
+    def test_kept_on_the_fit(self, panel69):
+        fit = fit_vecm(panel69, 2, 2)
+        levels = vecm_to_levels_var(fit)
+        assert vecm_to_levels_var(fit) is levels
+        assert forecast_vecm(fit, 8) == forecast_var(levels, 8)
+
     def test_random_walk_case(self):
         fit = build_vecm_fit(
             alpha=np.zeros((2, 1)),

@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularDesignError,
 )
-from .numerics import LOG_2PI, _as_finite, _factor, chi_square_sf, cholesky_lower
+from .numerics import LOG_2PI, _as_finite, _cholesky, _factor, chi_square_sf
 from .quarterly import Frame, _lag_blocks
 from .vecm import VecmFit, _keep_search, _levels_blocks, vecm_to_levels_var
 from .var import stability_moduli
@@ -154,8 +154,10 @@ class LmResult:
 
 
 def _require_variation(sigma: np.ndarray) -> None:
+    """Raise unless an ``OlsFit.sigma`` (exactly symmetric, read off a
+    factor of finite data) is positive definite."""
     try:
-        cholesky_lower(sigma)
+        _cholesky(sigma)
     except NotPositiveDefiniteError as exc:
         raise DegenerateInputError(
             "residuals carry no usable variation (singular covariance)"
@@ -246,6 +248,25 @@ class NormalityReport:
     joint: dict  # skew_chi2/kurt_chi2/jb summed over equations, with df and p
 
 
+def _require_labels(names, k: int) -> tuple:
+    try:
+        labels = tuple(names)
+    except TypeError:
+        labels = None
+    if labels is None or len(labels) != k:
+        raise DomainError(f"names must hold one label per residual column ({k}), got {names!r}")
+    return labels
+
+
+def _require_count(n_eff) -> int:
+    try:
+        if n_eff % 1 == 0:
+            return int(n_eff)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"n_eff must be an integer, got {n_eff!r}")
+
+
 def normality_suite(
     residuals: np.ndarray,
     n_eff: int | None = None,
@@ -254,35 +275,38 @@ def normality_suite(
     """Skewness/kurtosis/Jarque-Bera per equation on residuals that are
     centered then orthogonalized through the Cholesky factor of their ML
     covariance; the joint statistics sum across the K equations, on K
-    degrees of freedom (2K for JB)."""
+    degrees of freedom (2K for JB). ``names``, when given, holds one label
+    per residual column, and ``n_eff`` must be a whole number."""
     u = _as_finite(residuals, "residuals", ndim=1, stacked=True)
     if u.ndim == 1:
         u = u.reshape(-1, 1)
     elif u.ndim > 2:
         raise DomainError(f"residuals must be T x K, got shape {u.shape}")
     t, k = u.shape
-    n = t if n_eff is None else int(n_eff)
+    n = t if n_eff is None else _require_count(n_eff)
     if n < 8:
         raise InsufficientDataError(f"need n_eff >= 8, got {n}")
+    labels = tuple(f"eq{i + 1}" for i in range(k)) if names is None else _require_labels(names, k)
     centered = u - u.mean(axis=0)
     sigma = centered.T @ centered / t
     try:
-        lower = cholesky_lower(sigma)
+        lower = _cholesky(0.5 * (sigma + sigma.T))
     except NotPositiveDefiniteError as exc:
         raise DegenerateInputError(
             f"residual column {exc.pivot} has (near) zero variance"
         ) from exc
-    w = np.linalg.solve(lower, centered.T).T
+    # One row per equation: each row's mean reduces contiguous memory, as a
+    # mean over one column of w would, so the moments match it bit for bit.
+    wt = np.ascontiguousarray(np.linalg.solve(lower, centered.T))
+    skewness = (wt**3).mean(axis=1).tolist()
+    kurtosis = (wt**4).mean(axis=1).tolist()
 
-    labels = names if names is not None else tuple(f"eq{i + 1}" for i in range(k))
     rows = []
-    for i in range(k):
-        s = float(np.mean(w[:, i] ** 3))
-        kappa = float(np.mean(w[:, i] ** 4))
+    for label, s, kappa in zip(labels, skewness, kurtosis):
         skew_chi2, kurt_chi2, jb = jarque_bera_components(s, kappa, n)
         rows.append(
             EquationNormality(
-                name=labels[i],
+                name=label,
                 skewness=s,
                 kurtosis=kappa,
                 skew_chi2=skew_chi2,

@@ -17,14 +17,30 @@ factored, and hand it over; ``ols(y, x)`` is the validating way in for
 arrays from outside, which checks that they are finite and conformable and
 copies them into one [X | Y] first.
 
-Cholesky factors come from LAPACK, one batched call for a (..., n, n)
-stack, so the log-determinants of many covariances (the lag search's, say)
-cost one call. Positive definiteness is decided by pivots exceeding 1e-12,
-and every failure takes one path: the slices LAPACK leaves in doubt (all of
-them when it fails, else those whose smallest pivot is within that
-tolerance) go, in order, through one column-by-column pivot search, which
-names the first failing slice and pivot. Symmetry is checked per slice at
-1e-8 relative tolerance.
+Cholesky factors come from one step, ``_cholesky``: LAPACK, one batched
+call for a (..., n, n) stack, so the log-determinants of many covariances
+(the lag search's, say) cost one call. Positive definiteness is decided by
+pivots exceeding 1e-12, and every failure takes one path: the slices LAPACK
+leaves in doubt (all of them when it fails, else those whose smallest pivot
+is within that tolerance) go, in order, through one column-by-column pivot
+search, which names the first failing slice and pivot. The step takes
+exactly symmetric slices and checks only that they are finite, since a
+covariance built from finite data can still overflow. ``cholesky_lower`` is
+its validating way in: it converts its argument through ``_as_finite``,
+checks symmetry per slice at 1e-8 relative tolerance and factors the
+symmetric part. The callers that build their covariance in the same call
+use the step directly:
+
+- ``OlsFit.log_likelihoods`` (the lag search), whose sigmas are read off R
+  of a finite [X | Y] and symmetrized as 0.5 (S + S');
+- ``diagnostics.lm_autocorrelation``, whose restricted sigma is an
+  ``OlsFit.sigma``, read off R the same way;
+- ``diagnostics.normality_suite``, whose covariance is the cross-product of
+  residuals it checked finite, symmetrized explicitly rather than trusting
+  BLAS to return an exactly symmetric product.
+
+``irf`` keeps the validating call: a ``VarFit`` is a public record anyone
+can build, so its sigma is input from outside.
 
 Every array from outside the program comes in through one converter,
 ``_as_finite``: the public functions here, the residual diagnostics, the
@@ -86,10 +102,15 @@ def _as_finite(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     """The symmetric part of a matrix or of each slice of a stack, after
-    checking each is symmetric relative to its own largest entry."""
+    checking each is symmetric relative to its own largest entry; an exactly
+    symmetric input is returned as it is."""
     if a.shape[-1] != a.shape[-2]:
         raise DomainError(f"{name} must be square, got shape {a.shape}")
     at = np.swapaxes(a, -1, -2)
+    # 0.5 (a + a') of an exactly symmetric a is a itself, bit for bit, short
+    # of entries so large that a + a' overflows
+    if (a == at).all():
+        return a
     scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
     if (np.abs(a - at).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale).any():
         raise DomainError(f"{name} is not symmetric within tolerance")
@@ -177,7 +198,7 @@ class OlsFit:
         sigmas = np.stack([self._sigma(m) for m in widths])
         t, k = self.nobs, sigmas.shape[-1]
         try:
-            ld = log_det(sigmas)
+            ld = _log_det(_cholesky(sigmas))
         except NotPositiveDefiniteError as exc:
             raise DegenerateInputError(
                 "residual covariance is singular; log likelihood undefined "
@@ -241,14 +262,28 @@ def cholesky_lower(a) -> np.ndarray:
 
     A may be a (..., n, n) stack, factored by one batched LAPACK call; when
     no slice is flagged, each slice of the result equals a call on that
-    slice alone. Every failure takes one path. When LAPACK fails, every
-    slice is flagged, since it does not say which one failed; otherwise a
-    slice is flagged when its smallest pivot diag(L)^2 is within PIVOT_TOL.
-    The flagged slices go, in order, through the pivot search below, which
+    slice alone. A is input from outside: it must be finite and each slice
+    symmetric within SYMMETRY_RTOL, and its symmetric part is factored by
+    ``_cholesky``.
+    """
+    return _cholesky(_require_symmetric(_as_finite(a, "A", stacked=True), "A"))
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """The one Cholesky step, for a float (..., n, n) stack whose slices are
+    exactly symmetric; callers that built ``a`` themselves call it directly.
+
+    Entries that overflowed while ``a`` was built are still caught: a
+    non-finite ``a`` raises the ``DomainError`` that ``cholesky_lower``
+    gives. Every failure takes one path. When LAPACK fails, every slice is
+    flagged, since it does not say which one failed; otherwise a slice is
+    flagged when its smallest pivot diag(L)^2 is within PIVOT_TOL. The
+    flagged slices go, in order, through the pivot search below, which
     factors each or raises, so a rejected input names the same pivot
     whichever way it was found, and a stack names its first failing slice.
     """
-    a = _require_symmetric(_as_finite(a, "A", stacked=True), "A")
+    if not np.isfinite(a).all():
+        raise DomainError("A contains non-finite entries")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -309,9 +344,13 @@ def log_det(a) -> float | np.ndarray:
     """ln|A| for positive-definite A, via 2 * sum(ln diag(chol(A))); a
     (..., n, n) stack gives the array of its slices' values from one
     ``cholesky_lower`` call."""
-    lower = cholesky_lower(a)
-    ld = 2.0 * np.sum(np.log(lower.diagonal(0, -2, -1)), axis=-1)
-    return float(ld) if lower.ndim == 2 else ld
+    ld = _log_det(cholesky_lower(a))
+    return float(ld) if ld.ndim == 0 else ld
+
+
+def _log_det(lower: np.ndarray) -> np.ndarray:
+    """2 * sum(ln diag(L)) of each slice of a Cholesky factor stack."""
+    return 2.0 * np.sum(np.log(lower.diagonal(0, -2, -1)), axis=-1)
 
 
 def eigen_moduli(a) -> np.ndarray:

@@ -25,6 +25,15 @@ sample alone. The factor reaches stage 2 only through the forecast's
 starting at the first forecast quarter, differenced from the last
 in-sample target on. A stage-3 failure names the factor, since the factor
 reaches that fit through those rows.
+
+The kept stages also hold two factor-free pieces a factor needs: the
+stage-1 forecast of the target, the path each factor scales, and the last
+in-sample target level, where the differenced spliced path starts. Stage 3
+fills its forecast rows directly, the stage-2 forecasts around the target's
+spliced differences, below the differenced sample, and fits them through
+``var``'s fit step with no stage-3 ``Frame``: every value there was already
+checked finite, by the differenced frame, the stage-2 forecast or the path.
+The result equals ``fit_var`` on that ``Frame`` bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from .errors import (
 )
 from .irf import IrfResult, orthogonalized_irfs
 from .quarterly import Frame, QuarterIndex, Series, first_difference
-from .var import VarFit, fit_var, forecast_var
+from .var import VarFit, _fit, fit_var, forecast_var
 from .vecm import fit_vecm, forecast_vecm
 
 DEFAULT_LAG_SEARCH = 4
@@ -136,6 +145,8 @@ class _FrameStages(NamedTuple):
     """The shock-independent part of a run; every field is immutable."""
 
     stage1_forecast: Frame  # levels
+    target_path: Series  # the stage-1 forecast of the target, levels
+    last_level: np.ndarray  # the last in-sample target level, as one read-only row
     residual_rows: int
     d_frame: Frame
     picked_lags: int | None  # AIC choice, None when the search did not run
@@ -172,7 +183,14 @@ def _frame_stages(
         2, fit_var, d_frame.drop(target), p2, exog=d_frame.select([target]), exog_lags=exog_lags
     )
     return _FrameStages(
-        baseline, int(vfit.residuals.shape[0]), d_frame, picked, lag_source, fit2
+        baseline,
+        baseline.series(target),
+        frame.column(target)[-1:],
+        int(vfit.residuals.shape[0]),
+        d_frame,
+        picked,
+        lag_source,
+        fit2,
     )
 
 
@@ -220,24 +238,30 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
     p2 = fit2.p
     p3 = stages.picked_lags if p3 is None else p3
     shocked = _stage(
-        1, apply_multiplicative_shock, baseline.series(target), scenario.factor, scenario.start
+        1, apply_multiplicative_shock, stages.target_path, scenario.factor, scenario.start
     )
 
     # Stage 2: splice actual + shocked target, hold the spliced path
     # exogenous, conditionally forecast the rest. The factor enters only
     # through the spliced path's forecast rows, the differences of the last
     # in-sample target and the shocked path.
-    d_path = np.diff(np.concatenate([frame.column(target)[-1:], shocked.values]))
+    d_path = np.diff(np.concatenate([stages.last_level, shocked.values]))
     path = Frame(forecast_start, (target,), d_path[:, None])
     stage2_forecast = _stage(2, forecast_var, fit2, horizon, exog_path=path)
 
     # Stage 3: the differenced in-sample rows, then the stage-2 forecasts
     # with the spliced path back in the target's column; the target is
-    # endogenous again, and the IRFs are read off the refitted VAR.
-    rows = np.insert(stage2_forecast.values, frame.names.index(target), d_path, axis=1)
-    stage3_frame = Frame(d_frame.start, frame.names, np.vstack([d_frame.values, rows]))
+    # endogenous again, and the IRFs are read off the refitted VAR. Every
+    # value was checked finite in d_frame, the stage-2 forecast or the path,
+    # so the rows go to the fit step of ``fit_var`` without a Frame.
+    n, col = len(d_frame), frame.names.index(target)
+    spliced = np.empty((n + horizon, len(frame.names)))
+    spliced[:n] = d_frame.values
+    spliced[n:, col] = d_path
+    spliced[n:, :col] = stage2_forecast.values[:, :col]
+    spliced[n:, col + 1 :] = stage2_forecast.values[:, col:]
     try:
-        fit3 = fit_var(stage3_frame, p3)
+        fit3 = _fit(spliced, p3, frame.names, d_frame.start)
         irfs = orthogonalized_irfs(fit3, horizon, target)
     except VecmkitError as exc:
         # The factor reaches stage 3 through the target's spliced rows, so
@@ -278,9 +302,9 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
         "stage3": {
             "scale": "differences",
             "sample": [d_first, window[1]],
-            "n_rows": len(stage3_frame),
+            "n_rows": len(spliced),
             "lag_order": p3,
-            "rows_used": len(stage3_frame) - p3,
+            "rows_used": len(spliced) - p3,
             "row_provenance": {
                 "differenced_actuals": [d_first, last],
                 "stage2_forecasts": list(window),

@@ -10,6 +10,14 @@ Its future rows have one way in, the ``exog_path`` ``Frame`` of
 immutable; forecasting never mutates the fit, so concurrent forecasts from
 one fit are safe.
 
+Every fit is one step, ``_fit``: it checks the lag order and the
+exogenous block, builds the design [1, lags, exogenous | X_t] from a
+sample's values, factors it once and splits the coefficients. ``fit_var``
+runs it on a ``Frame``'s values, whose finiteness the ``Frame`` checked;
+the three-stage shock's stage 3 runs it directly on rows it spliced from
+values already checked finite, so a scenario grid builds no ``Frame`` per
+factor and there is one design builder, not two.
+
 Every propagation of a fitted VAR is one recursion, y_h = drive_h + A_1
 y_{h-1} + ... + A_p y_{h-p} (Lütkepohl 2005, 2.1): a forecast is driven by
 the constant (and the exogenous terms) from the sample tail, and the MA
@@ -95,10 +103,24 @@ def fit_var(
     sample end are not read: future exogenous values reach a forecast only
     through the ``exog_path`` of ``forecast_var``.
     """
+    return _fit(frame.values, p, frame.names, frame.start, exog, exog_lags)
+
+
+def _fit(
+    values: np.ndarray,
+    p: int,
+    names: tuple[str, ...],
+    start: QuarterIndex,
+    exog: Frame | None = None,
+    exog_lags: int = 0,
+) -> VarFit:
+    """``fit_var`` on the sample ``values``, whose first row is quarter
+    ``start``: a finite float T x K array, which the fit does not keep. A
+    caller that assembles a sample from values already checked finite
+    (``shock``'s stage 3) fits it here without building a ``Frame``."""
     if p < 1:
         raise DomainError(f"lag order must be >= 1, got {p}")
-    k = frame.n_columns
-    t = len(frame)
+    t, k = values.shape
     t_eff = t - p
 
     features = None
@@ -107,10 +129,10 @@ def fit_var(
     if exog is not None:
         if not 0 <= exog_lags <= p:
             raise DomainError(f"exog_lags must be in 0..{p}, got {exog_lags}")
-        if exog.start != frame.start or len(exog) < t:
+        if exog.start != start or len(exog) < t:
             raise CoverageError(
                 f"exogenous frame spans {exog.start}..{exog.end}, "
-                f"sample needs {frame.start}..{frame.end}"
+                f"sample needs {start}..{start.shift(t - 1)}"
             )
         # Z over rows p-q..T-1, so lag 0 is its last T-p rows and lags 1..q
         # are its lag blocks; a sample of at most p rows takes none and is
@@ -128,15 +150,17 @@ def fit_var(
         )
 
     # [1, lags, exogenous | X_t]
-    xy = [np.ones((t_eff, 1)), *_lag_blocks(frame.values, p)]
+    xy = [np.ones((t_eff, 1)), *_lag_blocks(values, p)]
     if features is not None:
         xy.append(features[:, active])
-    xy.append(frame.values[p:])
+    xy.append(values[p:])
     fit = _factor(np.hstack(xy), 1 + k * p + n_active)
 
     coef = fit.coefficients
-    const = coef[0]
-    mats = tuple(np.hsplit(coef[1 : 1 + k * p].T.copy(), p))
+    # rows 1 + K i .. K (i + 1) of the coefficients are A_{i+1}', copied
+    # C-ordered: np.hstack keeps its inputs' order, and an F-ordered
+    # [A_1 .. A_p] would round the recursions differently
+    mats = tuple(np.ascontiguousarray(coef[1 : 1 + k * p].reshape(p, k, k).transpose(0, 2, 1)))
     if exog is not None:
         exog_coef = np.zeros((k, features.shape[1]))
         exog_coef[:, active] = coef[1 + k * p :].T
@@ -145,14 +169,14 @@ def fit_var(
 
     return VarFit(
         p=p,
-        names=frame.names,
+        names=names,
         coef_matrices=mats,
-        const=const.copy(),
+        const=coef[0].copy(),
         residuals=fit.residuals,
         sigma=fit.sigma,
-        sample_start=frame.start,
+        sample_start=start,
         n_sample=t,
-        tail=frame.tail_rows(p),
+        tail=np.array(values[-p:]),  # in the sample's own layout
         exog_names=exog.names if exog is not None else (),
         exog_lags=exog_lags if exog is not None else 0,
         exog_coef=exog_coef,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,15 @@ class TestLmAutocorrelation:
         got = lm_autocorrelation(u, lag, design)
         assert got.statistic == pytest.approx(want, rel=1e-12)
 
+    def test_overflowing_covariance_rejected(self, rng):
+        # The residual cross-product overflows to inf; numpy's overflow
+        # warning is silenced so that the error itself is what raises.
+        u = rng.standard_normal((80, 3)) * 1e160
+        with np.errstate(over="ignore"), pytest.raises(
+            DomainError, match="^A contains non-finite entries$"
+        ):
+            lm_autocorrelation(u, 1)
+
     def test_detects_autocorrelated_residuals(self, rng):
         t = 400
         e = np.zeros((t, 2))
@@ -256,6 +267,57 @@ class TestNormalitySuite:
     def test_minimum_sample(self):
         with pytest.raises(InsufficientDataError):
             normality_suite(np.random.default_rng(0).standard_normal((30, 1)), n_eff=5)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(20, 300),
+        k=st.integers(1, 12),
+        fortran=st.booleans(),
+    )
+    def test_moments_equal_per_column_means(self, seed, t, k, fortran):
+        """Each equation's moments equal the mean over its own column of the
+        orthogonalized residuals, bit for bit, whatever the input layout."""
+        rng = np.random.default_rng(seed)
+        u = rng.standard_t(5, (t, k))
+        if fortran:
+            u = np.asfortranarray(u)
+        report = normality_suite(u)
+        centered = u - u.mean(axis=0)
+        sigma = centered.T @ centered / t
+        w = np.linalg.solve(np.linalg.cholesky(0.5 * (sigma + sigma.T)), centered.T).T
+        for i, row in enumerate(report.rows):
+            assert row.skewness == float(np.mean(w[:, i] ** 3))
+            assert row.kurtosis == float(np.mean(w[:, i] ** 4))
+
+    def test_overflowing_covariance_rejected(self, rng):
+        # as in the LM test: the cross-product overflows, and the warning
+        # numpy gives for it is silenced
+        with np.errstate(over="ignore"), pytest.raises(
+            DomainError, match="^A contains non-finite entries$"
+        ):
+            normality_suite(rng.standard_normal((80, 3)) * 1e160)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"names": ("a", "b")},
+            {"names": ("a", "b", "c", "d")},
+            {"names": 7},
+            {"n_eff": "x"},
+            {"n_eff": 5.5},
+            {"n_eff": float("nan")},
+        ],
+        ids=["names-short", "names-long", "names-not-a-sequence", "n_eff-text", "n_eff-fraction", "n_eff-nan"],
+    )
+    def test_bad_arguments_named(self, rng, kwargs):
+        (value,) = kwargs.values()
+        with pytest.raises(DomainError, match=re.escape(repr(value))):
+            normality_suite(rng.standard_normal((40, 3)), **kwargs)
+
+    def test_whole_number_n_eff_accepted(self, rng):
+        data = rng.standard_normal((40, 3))
+        assert normality_suite(data, n_eff=20.0) == normality_suite(data, n_eff=np.int64(20))
 
 
 class TestAdf:

@@ -185,6 +185,19 @@ class TestOrthogonalizedIrf:
         with pytest.raises(NotPositiveDefiniteError):
             orthogonalized_irf(fit, 5, impulse="a", response="b")
 
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [((0, 1), 1e-6, "^A is not symmetric within tolerance$"), ((1, 1), np.nan, "^A contains non-finite entries$")],
+        ids=["asymmetric", "nan"],
+    )
+    def test_hand_built_sigma_checked(self, entry, value, message):
+        # a VarFit is a public record, so its sigma is checked like any input
+        sigma = np.eye(2)
+        sigma[entry] = value
+        fit = var_fit([np.eye(2) * 0.4], sigma, names=("a", "b"))
+        with pytest.raises(DomainError, match=message):
+            orthogonalized_irfs(fit, 5, "a")
+
     def test_full_matrices_retained(self, rng):
         # the whole Phi_h P stack stays on the fit, not on the result
         sigma = random_spd(rng, 2)

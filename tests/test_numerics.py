@@ -264,6 +264,26 @@ class TestCholesky:
         err = np.linalg.norm(cholesky_lower(a) - expected) / np.linalg.norm(expected)
         assert err <= 1e-12
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        shape=st.sampled_from([(), (3,), (2, 2)]),
+    )
+    def test_factors_the_symmetric_part(self, seed, n, shape):
+        """An exactly symmetric input is its own symmetric part, so its
+        factor is LAPACK's of 0.5 (A + A') bit for bit; a nearly symmetric
+        input, perturbed above the diagonal only (LAPACK reads the lower
+        triangle), is still symmetrized before it is factored."""
+        rng = np.random.default_rng(seed)
+        a = np.empty((*shape, n, n))
+        for index in np.ndindex(shape):
+            a[index] = random_spd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+        a = 0.5 * (a + np.swapaxes(a, -1, -2))
+        near = a + np.triu(a * rng.uniform(-1e-10, 1e-10, a.shape), 1)
+        for m in (a, near):
+            want = np.linalg.cholesky(0.5 * (m + np.swapaxes(m, -1, -2)))
+            assert cholesky_lower(m).tobytes() == want.tobytes()
+
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
             cholesky_lower(np.array([[1.0, 0.5], [0.0, 1.0]]))

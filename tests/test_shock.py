@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecmkit as vk
 from vecmkit import (
@@ -371,3 +375,51 @@ class TestScenarioChecks:
         with pytest.raises(PipelineStageError, match=r"exog_lags must be in 0\.\.1, got 2") as err:
             run_three_stage(panel69, scenario(panel69, exog_lags=2))
         assert err.value.stage == 2
+
+
+def same_value(a, b) -> bool:
+    """Equal bit for bit: arrays by shape and bytes, tuples item by item."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_value, a, b))
+    return a == b
+
+
+class TestStage3FitStep:
+    """Stage 3 fits its spliced rows through ``fit_var``'s own fit step,
+    without a Frame: the result is ``fit_var`` on the spliced Frame."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        factor=st.floats(0.8, 1.2),
+        exog_lags=st.integers(0, 2),
+        stage3_lags=st.sampled_from([None, 3]),
+        offset=st.integers(0, 3),
+    )
+    def test_equals_fit_var_on_the_spliced_frame(
+        self, panel69, factor, exog_lags, stage3_lags, offset
+    ):
+        target = "exchange_rate"
+        sc = scenario(
+            panel69,
+            factor=factor,
+            start=panel69.end.shift(1 + offset),
+            stage2_lags=2,
+            stage3_lags=stage3_lags,
+            exog_lags=exog_lags,
+        )
+        result = run_three_stage(panel69, sc)
+
+        d_frame = vk.first_difference(panel69)
+        d_path = np.diff(np.concatenate([panel69.column(target)[-1:], result.shocked_path.values]))
+        rows = np.insert(result.stage2_forecast.values, panel69.names.index(target), d_path, axis=1)
+        spliced = vk.Frame(d_frame.start, panel69.names, np.vstack([d_frame.values, rows]))
+        want = vk.fit_var(spliced, result.audit["stage3"]["lag_order"])
+
+        for f in dataclasses.fields(vk.VarFit):
+            assert same_value(getattr(result.stage3_fit, f.name), getattr(want, f.name)), f.name
+        want_irfs = vk.orthogonalized_irfs(want, sc.horizon, target)
+        assert result.irfs.keys() == want_irfs.keys()
+        for name, irf in result.irfs.items():
+            assert same_value(irf.values, want_irfs[name].values), name

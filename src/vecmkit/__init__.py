@@ -35,9 +35,7 @@ from .quarterly import (
     Series,
     StatsReport,
     first_difference,
-    lag_matrix,
     load_frame,
-    loads_frame,
     location_quotient,
     parse_quarter,
     proxy_quarterly_output,
@@ -50,7 +48,6 @@ from .numerics import (
     cholesky_lower,
     eigen_moduli,
     generalized_symmetric_eigen,
-    log_det,
     ols,
 )
 from .var import (

@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularDesignError,
 )
-from .numerics import LOG_2PI, _as_finite, _cholesky, _factor, chi_square_sf
+from .numerics import LOG_2PI, _as_count, _as_finite, _cholesky, _factor, chi_square_sf
 from .quarterly import Frame, _lag_blocks
 from .vecm import VecmFit, _keep_search, _levels_blocks, vecm_to_levels_var
 from .var import stability_moduli
@@ -95,8 +95,7 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
     frame object at lag order k <= max_lag then reads its own R off it by one
     small QR (see ``vecm``), and its results may move at rounding level
     against a cold run, though not its rank pick."""
-    if max_lag < 1:
-        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
+    max_lag = _as_count(max_lag, "max_lag", 1)
     k = frame.n_columns
     t_eff = len(frame) - max_lag
     if t_eff <= k * max_lag + 1:
@@ -177,18 +176,18 @@ def lm_autocorrelation(
     degrees of freedom, where S_r and S_u are the restricted / unrestricted
     auxiliary residual covariances and m the unrestricted regressor count.
 
-    The design [base, lagged] is factored once: the restricted fit on
-    ``base`` is its leading block (``OlsFit.leading``), which equals a
-    separate fit on ``base`` to rounding. Both covariances are read off
-    the factor, so no auxiliary residuals are formed. When the full design
-    cannot be fitted, the restricted fit alone decides the error, so
-    residuals with a singular covariance are reported as degenerate, as a
-    separate fit would report them.
+    The design [base, lagged] is factored once. Householder QR treats the
+    columns in order, so the restricted covariance is read off the same R,
+    below its first ``base`` rows, and equals a separate fit's on ``base``
+    to rounding; R's pivots there passed the full design's rank check.
+    Both covariances are read off the factor, so no auxiliary residuals
+    are formed. When the full design cannot be fitted, the restricted fit
+    alone decides the error, so residuals with a singular covariance are
+    reported as degenerate, as a separate fit would report them.
     """
     u = _as_finite(residuals, "residuals")
     t, k = u.shape
-    if lag < 1:
-        raise DomainError(f"lag must be >= 1, got {lag}")
+    lag = _as_count(lag, "lag", 1)
     if t <= lag + k + 1:
         raise InsufficientDataError(f"{t} residual rows are too few for lag {lag}")
 
@@ -203,15 +202,18 @@ def lm_autocorrelation(
     xy[lag:, n_base:m] = u[:-lag]
     xy[:, m:] = u
 
-    try:
-        unrestricted = _factor(xy, m)
-    except (SingularDesignError, InsufficientDataError):
-        _require_variation(_factor(np.hstack([base, u]), n_base).sigma)
-        raise
-    restricted = unrestricted.leading(n_base)
-    _require_variation(restricted.sigma)
+    # a covariance that overflows is rejected by _require_variation as
+    # non-finite, so numpy's overflow warning is not raised first
+    with np.errstate(over="ignore"):
+        try:
+            unrestricted = _factor(xy, m)
+        except (SingularDesignError, InsufficientDataError):
+            _require_variation(_factor(np.hstack([base, u]), n_base).sigma)
+            raise
+        restricted = unrestricted._sigma(n_base)
+    _require_variation(restricted)
 
-    trace = float(np.trace(np.linalg.solve(restricted.sigma, unrestricted.sigma)))
+    trace = float(np.trace(np.linalg.solve(restricted, unrestricted.sigma)))
     statistic = max((t - m - 0.5 * (k + 1)) * (k - trace), 0.0)
     df = k * k
     return LmResult(lag=lag, statistic=statistic, df=df, p_value=chi_square_sf(statistic, df))
@@ -258,15 +260,6 @@ def _require_labels(names, k: int) -> tuple:
     return labels
 
 
-def _require_count(n_eff) -> int:
-    try:
-        if n_eff % 1 == 0:
-            return int(n_eff)
-    except (TypeError, ValueError):
-        pass
-    raise DomainError(f"n_eff must be an integer, got {n_eff!r}")
-
-
 def normality_suite(
     residuals: np.ndarray,
     n_eff: int | None = None,
@@ -283,14 +276,17 @@ def normality_suite(
     elif u.ndim > 2:
         raise DomainError(f"residuals must be T x K, got shape {u.shape}")
     t, k = u.shape
-    n = t if n_eff is None else _require_count(n_eff)
+    n = t if n_eff is None else _as_count(n_eff, "n_eff")
     if n < 8:
         raise InsufficientDataError(f"need n_eff >= 8, got {n}")
     labels = tuple(f"eq{i + 1}" for i in range(k)) if names is None else _require_labels(names, k)
     centered = u - u.mean(axis=0)
-    sigma = centered.T @ centered / t
+    # a cross-product that overflows is rejected by _cholesky as non-finite
+    with np.errstate(over="ignore"):
+        sigma = centered.T @ centered / t
+        sigma = 0.5 * (sigma + sigma.T)
     try:
-        lower = _cholesky(0.5 * (sigma + sigma.T))
+        lower = _cholesky(sigma)
     except NotPositiveDefiniteError as exc:
         raise DegenerateInputError(
             f"residual column {exc.pivot} has (near) zero variance"
@@ -363,8 +359,7 @@ def adf_test(series, lags: int, spec: str = "constant") -> AdfResult:
     raises ``SingularDesignError``, and an exact fit of the differences
     raises ``DegenerateInputError``."""
     y = _as_finite(series, "series", ndim=1)
-    if lags < 0:
-        raise DomainError(f"lags must be >= 0, got {lags}")
+    lags = _as_count(lags, "lags", 0)
     if spec not in ADF_CRITICAL_VALUES:
         raise DomainError(
             f"spec must be one of {sorted(ADF_CRITICAL_VALUES)}, got {spec!r}"

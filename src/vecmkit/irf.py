@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import cholesky_lower
+from .numerics import _as_count, cholesky_lower
 from .var import VarFit, _recursion
 
 
@@ -36,8 +36,7 @@ def ma_coefficients(fit: VarFit, horizon: int) -> np.ndarray:
     """Phi_0 .. Phi_horizon as one (horizon + 1, K, K) array: Phi_0 = I and
     Phi_h = sum_{i=1..min(h,p)} A_i Phi_{h-i}, the VAR's recursion driven by
     a unit impulse from p zero blocks."""
-    if horizon < 0:
-        raise DomainError(f"horizon must be >= 0, got {horizon}")
+    horizon = _as_count(horizon, "horizon", 0)
     k = fit.n_vars
     drive = np.zeros((horizon + 1, k, k))
     drive[0] = np.eye(k)

@@ -7,9 +7,9 @@ hold everything a fit on the first m columns of X needs: the leading m x m
 block factors X[:, :m], the block beside it is the leading part of Q'Y, and
 the trailing block of the Y columns, rows m onward, has the residual
 cross-product as its Gram matrix. Residual covariances are read off R
-without forming residuals, and nested models such as the VAR(j) of a lag
-search, or the restricted and unrestricted fits of an LM test, all come
-from one factorization of the widest design.
+without forming residuals, so the covariances of nested models, such as the
+VAR(j) of a lag search or the restricted fit of an LM test, all come from
+one factorization of the widest design.
 
 There is one factor step, ``_factor``, with two ways in. The estimators
 build each design once, as one [X | Y] array in the layout that is
@@ -33,8 +33,8 @@ use the step directly:
 
 - ``OlsFit.log_likelihoods`` (the lag search), whose sigmas are read off R
   of a finite [X | Y] and symmetrized as 0.5 (S + S');
-- ``diagnostics.lm_autocorrelation``, whose restricted sigma is an
-  ``OlsFit.sigma``, read off R the same way;
+- ``diagnostics.lm_autocorrelation``, whose restricted sigma is read off
+  the unrestricted fit's R the same way;
 - ``diagnostics.normality_suite``, whose covariance is the cross-product of
   residuals it checked finite, symmetrized explicitly rather than trusting
   BLAS to return an exactly symmetric product.
@@ -48,7 +48,9 @@ ADF test, the trace statistics and the artifact decoder all take their
 array arguments through it, so non-numeric, non-finite or misshapen input
 raises ``DomainError`` naming the argument. (``quarterly``'s frames keep
 their own ``NonNumericCellError`` family, raised by the same one cast,
-``_float_array``.)
+``_float_array``.) Every count from outside (a lag order, a horizon, a
+rank) comes in through ``_as_count``, so a fraction, a string or None
+raises ``DomainError`` naming it rather than numpy's or Python's own error.
 """
 
 from __future__ import annotations
@@ -100,6 +102,21 @@ def _as_finite(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray
     return out
 
 
+def _as_count(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an ``int``: a whole number (an int, a NumPy integer or a
+    float such as 2.0) of at least ``minimum`` when one is given, or
+    ``DomainError`` naming ``name``."""
+    try:
+        count = int(value) if value % 1 == 0 else None
+    except (TypeError, ValueError):
+        count = None
+    if count is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and count < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     """The symmetric part of a matrix or of each slice of a stack, after
     checking each is symmetric relative to its own largest entry; an exactly
@@ -118,44 +135,43 @@ def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
 
 
 class OlsFit:
-    """Equation-by-equation least squares fit of Y on the first m columns of X.
+    """Equation-by-equation least squares fit of Y on all of X.
 
     The fit holds a read-only [X | Y] (T x (n + K), X first) and R,
     the upper-triangular factor of its Householder QR; Q is never formed.
-    Because Q'[X | Y] = R, the rows of R split at m give every fit on a
-    leading block of X:
+    Because Q'[X | Y] = R, the rows of R split at n give the fit:
 
-    - ``R[:m, :m]`` is the triangular factor of X[:, :m], and ``R[:m, n:]``
-      is the leading part of Q'Y, so the coefficients are the triangular
-      solve of the one against the other;
-    - the trailing block ``tail = R[m:, n:]`` holds the coordinates of the
-      residuals in the orthogonal complement of X[:, :m], so
-      ``tail' tail = E'E`` for the residual matrix E (Golub & Van Loan,
-      Matrix Computations, 5.3).
+    - ``R[:n, :n]`` is the triangular factor of X, and ``R[:n, n:]`` is the
+      leading part of Q'Y, so the coefficients are the triangular solve of
+      the one against the other;
+    - the trailing block ``tail = R[n:, n:]`` holds the coordinates of the
+      residuals in the orthogonal complement of X, so ``tail' tail = E'E``
+      for the residual matrix E (Golub & Van Loan, Matrix Computations,
+      5.3).
 
     sigma is therefore read off R with the maximum-likelihood divisor T,
     and coefficients and residuals are computed only when first read. Every
-    array the fit returns is read-only. ``log_likelihoods`` gives the
-    Gaussian profile likelihood -(T/2)(K ln 2pi + K + ln|sigma|) of several
-    leading fits from one stacked Cholesky, and ``log_likelihood`` is its
-    one-width case; both raise on a degenerate (singular) sigma rather than
-    returning -inf.
+    array the fit returns is read-only. Householder QR treats the columns
+    in order, so the same split at m < n gives the fit on the first m
+    columns of X: ``log_likelihoods`` gives the Gaussian profile likelihood
+    -(T/2)(K ln 2pi + K + ln|sigma|) of several such leading fits from one
+    stacked Cholesky, and raises on a degenerate (singular) sigma rather
+    than returning -inf.
 
     R may come from any Q with orthonormal columns such that [X | Y] = Q R,
     not only from ``_factor``'s own QR: the blocks above hold for every such R.
     The fit marks the [X | Y] and R it is given read-only.
     """
 
-    def __init__(self, xy: np.ndarray, r: np.ndarray, n_x: int, m: int):
-        diag = np.abs(np.diag(r)[:m])
-        if diag.min() <= max(xy.shape[0], m) * np.finfo(float).eps * max(diag.max(), 1.0):
+    def __init__(self, xy: np.ndarray, r: np.ndarray, n_x: int):
+        diag = np.abs(np.diag(r)[:n_x])
+        if diag.min() <= max(xy.shape[0], n_x) * np.finfo(float).eps * max(diag.max(), 1.0):
             raise SingularDesignError(
                 f"design matrix is rank deficient (column pivot {int(diag.argmin())})"
             )
         self._xy = _read_only(xy)  # [X | Y]
         self._r = _read_only(r)  # R of the QR of [X | Y]
         self._n_x = n_x  # columns of X in [X | Y]
-        self._m = m  # regressors of this fit: the first m columns of X
 
     @property
     def nobs(self) -> int:
@@ -163,8 +179,8 @@ class OlsFit:
 
     @property
     def r(self) -> np.ndarray:
-        """The m x m upper-triangular factor of the design: X'X = R'R."""
-        return self._r[: self._m, : self._m]
+        """The n x n upper-triangular factor of the design: X'X = R'R."""
+        return self._r[: self._n_x, : self._n_x]
 
     @property
     def augmented_r(self) -> np.ndarray:
@@ -179,17 +195,17 @@ class OlsFit:
 
     @cached_property
     def sigma(self) -> np.ndarray:  # K x K
-        return _read_only(self._sigma(self._m))
+        return _read_only(self._sigma(self._n_x))
 
     @cached_property
-    def coefficients(self) -> np.ndarray:  # m x K
-        m = self._m
-        return _read_only(np.linalg.solve(self._r[:m, :m], self._r[:m, self._n_x :]))
+    def coefficients(self) -> np.ndarray:  # n x K
+        n = self._n_x
+        return _read_only(np.linalg.solve(self._r[:n, :n], self._r[:n, n:]))
 
     @cached_property
     def residuals(self) -> np.ndarray:  # T x K
-        y = self._xy[:, self._n_x :]
-        return _read_only(y - self._xy[:, : self._m] @ self.coefficients)
+        n = self._n_x
+        return _read_only(self._xy[:, n:] - self._xy[:, :n] @ self.coefficients)
 
     def log_likelihoods(self, widths) -> np.ndarray:
         """Log likelihoods of the fits on the first m columns of X, one per m
@@ -205,21 +221,6 @@ class OlsFit:
                 "(exact fit or collinear targets)"
             ) from exc
         return -0.5 * t * (k * LOG_2PI + k + ld)
-
-    @cached_property
-    def log_likelihood(self) -> float:
-        return float(self.log_likelihoods([self._m])[0])
-
-    def leading(self, m: int) -> "OlsFit":
-        """The fit of Y on the first m columns of X: a view on the same R.
-
-        Householder QR treats the columns in order, so the leading blocks of
-        R factor X[:, :m] and its trailing block gives that fit's residual
-        cross-product; the result matches ``ols(Y, X[:, :m])`` to rounding.
-        """
-        if not 1 <= m <= self._n_x:
-            raise DomainError(f"leading width must lie in 1..{self._n_x}, got {m}")
-        return OlsFit(self._xy, self._r, self._n_x, m)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -238,7 +239,7 @@ def _factor(xy: np.ndarray, n_x: int) -> OlsFit:
     t = xy.shape[0]
     if t <= n_x:
         raise InsufficientDataError(f"need more observations ({t}) than regressors ({n_x})")
-    return OlsFit(xy, np.linalg.qr(xy, mode="r"), n_x, n_x)
+    return OlsFit(xy, np.linalg.qr(xy, mode="r"), n_x)
 
 
 def ols(y, x) -> OlsFit:
@@ -247,8 +248,7 @@ def ols(y, x) -> OlsFit:
 
     The validating way into ``_factor``: Y and X must be finite matrices
     with equal row counts, and are copied into one [X | Y], so later writes
-    to the caller's arrays change nothing. ``fit.leading(m)`` gives the fit
-    on the first m regressors without factoring again.
+    to the caller's arrays change nothing.
     """
     y = _as_finite(y, "Y")
     x = _as_finite(x, "X")
@@ -338,14 +338,6 @@ def generalized_symmetric_eigen(a, b) -> tuple[np.ndarray, np.ndarray]:
     vals = vals[order]
     vecs = np.linalg.solve(lower.T, vecs[:, order])
     return vals, vecs
-
-
-def log_det(a) -> float | np.ndarray:
-    """ln|A| for positive-definite A, via 2 * sum(ln diag(chol(A))); a
-    (..., n, n) stack gives the array of its slices' values from one
-    ``cholesky_lower`` call."""
-    ld = _log_det(cholesky_lower(a))
-    return float(ld) if ld.ndim == 0 else ld
 
 
 def _log_det(lower: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ function, so values can be shared freely between concurrent readers.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -199,65 +198,56 @@ def load_frame(path: str | Path, schema: Sequence[str] = DEFAULT_SCHEMA) -> Fram
     ascending. Each malformed input is rejected with an error naming the
     offending row or column.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        return _parse_frame_csv(fh, schema, source=str(path))
-
-
-def loads_frame(text: str, schema: Sequence[str] = DEFAULT_SCHEMA) -> Frame:
-    """load_frame for in-memory CSV text."""
-    return _parse_frame_csv(io.StringIO(text), schema, source="<string>")
-
-
-def _parse_frame_csv(fh, schema: Sequence[str], source: str) -> Frame:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInputError(f"{source}: empty file") from None
-    header = [h.strip() for h in header]
-    if not header or header[0] != QUARTER_COLUMN:
-        raise MissingColumnError(
-            f"{source}: first header column must be {QUARTER_COLUMN!r}, got {header[:1]!r}"
-        )
-    positions = {}
-    for name in schema:
-        if name not in header[1:]:
-            raise MissingColumnError(f"{source}: missing column {name!r}")
-        positions[name] = header.index(name)
-
-    quarters: list[QuarterIndex] = []
-    rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        q = parse_quarter(row[0])
-        if quarters and quarters[-1].next() != q:
-            raise QuarterGapError(
-                f"{source}: row {lineno}: expected {quarters[-1].next()}, got {q}"
+    source = str(Path(path))
+    with open(source, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError(f"{source}: empty file") from None
+        header = [h.strip() for h in header]
+        if not header or header[0] != QUARTER_COLUMN:
+            raise MissingColumnError(
+                f"{source}: first header column must be {QUARTER_COLUMN!r}, got {header[:1]!r}"
             )
-        quarters.append(q)
-        parsed = []
+        positions = {}
         for name in schema:
-            if positions[name] >= len(row):
-                raise NonNumericCellError(f"{source}: row {lineno}, column {name!r}: missing cell")
-            cell = row[positions[name]].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericCellError(
-                    f"{source}: row {lineno}, column {name!r}: non-numeric cell {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise NonNumericCellError(
-                    f"{source}: row {lineno}, column {name!r}: non-finite cell {cell!r}"
-                )
-            parsed.append(value)
-        rows.append(parsed)
+            if name not in header[1:]:
+                raise MissingColumnError(f"{source}: missing column {name!r}")
+            positions[name] = header.index(name)
 
-    if not rows:
-        raise EmptyInputError(f"{source}: no data rows")
-    return Frame(quarters[0], tuple(schema), rows)
+        quarters: list[QuarterIndex] = []
+        rows: list[list[float]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            q = parse_quarter(row[0])
+            if quarters and quarters[-1].next() != q:
+                raise QuarterGapError(
+                    f"{source}: row {lineno}: expected {quarters[-1].next()}, got {q}"
+                )
+            quarters.append(q)
+            parsed = []
+            for name in schema:
+                if positions[name] >= len(row):
+                    raise NonNumericCellError(f"{source}: row {lineno}, column {name!r}: missing cell")
+                cell = row[positions[name]].strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise NonNumericCellError(
+                        f"{source}: row {lineno}, column {name!r}: non-numeric cell {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise NonNumericCellError(
+                        f"{source}: row {lineno}, column {name!r}: non-finite cell {cell!r}"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+
+        if not rows:
+            raise EmptyInputError(f"{source}: no data rows")
+        return Frame(quarters[0], tuple(schema), rows)
 
 
 def first_difference(frame: Frame) -> Frame:
@@ -268,30 +258,17 @@ def first_difference(frame: Frame) -> Frame:
 
 
 def _lag_blocks(values: np.ndarray, p: int) -> list[np.ndarray]:
-    """The blocks of ``lag_matrix(values, p)``, lag 1 first, as views."""
-    t = values.shape[0]
-    return [values[p - j : t - j] for j in range(1, p + 1)]
-
-
-def lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
-    """Stacked lag block [X_{t-1} ... X_{t-p}] of a T x K array, with T-p
-    usable rows; p = 0 gives a T x 0 block.
+    """The lag blocks X_{t-1} .. X_{t-p} of a T x K array, lag 1 first, as
+    views of T - p rows each; p = 0 gives none.
 
     This is the one lag layout of every lagged design (VAR, VECM, VARX and
     ADF regressions; Lütkepohl 2005, §3.2 and §10.3): row i is aligned with
-    values[p + i], and the columns for lag j sit in block j-1, so entry
-    (i, (j-1)*K + v) equals values[p + i - j, v]. Designs splice the same
-    blocks after their constant in one ``np.hstack``.
+    values[p + i], and block j - 1 holds lag j, so its row i is
+    values[p + i - j]. Designs splice the blocks after their constant in
+    one ``np.hstack``.
     """
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise DomainError(f"lag_matrix needs a T x K array, got shape {values.shape}")
-    if p < 0:
-        raise DomainError(f"lag count must be >= 0, got {p}")
-    if p >= values.shape[0]:
-        raise InsufficientDataError(f"lag count {p} needs more than {values.shape[0]} rows")
-    # the zero-width leading slice gives p = 0 its T x 0 shape
-    return np.hstack([values[p:, :0], *_lag_blocks(values, p)])
+    t = values.shape[0]
+    return [values[p - j : t - j] for j in range(1, p + 1)]
 
 
 @dataclass(frozen=True)
@@ -342,7 +319,10 @@ def proxy_quarterly_output(
     """Scale a national quarterly series by the region's annual share.
 
     Each quarter is multiplied by region_annual[year] / nation_annual[year];
-    the share is constant across the four quarters of a year.
+    the share is constant across the four quarters of a year. This is the
+    paper's data-construction step, run once to build the output column
+    before the panel CSV exists, so it is a library function only: every
+    command reads the finished panel, and none takes annual inputs.
     """
     out = np.empty(len(us_quarterly))
     for i, q in enumerate(us_quarterly.quarters()):

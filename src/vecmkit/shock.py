@@ -54,6 +54,7 @@ from .errors import (
     VecmkitError,
 )
 from .irf import IrfResult, orthogonalized_irfs
+from .numerics import _as_count
 from .quarterly import Frame, QuarterIndex, Series, first_difference
 from .var import VarFit, _fit, fit_var, forecast_var
 from .vecm import fit_vecm, forecast_vecm
@@ -71,6 +72,18 @@ def _require_factor(factor: float) -> None:
         raise DomainError(f"shock factor must be a real number, got {factor!r}") from None
 
 
+# each count of a scenario and its least value; None where stage 1's fit
+# checks the range
+_COUNT_MINIMUMS = {
+    "horizon": 1,
+    "vecm_lags": None,
+    "rank": None,
+    "stage2_lags": 1,
+    "stage3_lags": 1,
+    "exog_lags": 0,
+}
+
+
 @dataclass(frozen=True)
 class ShockScenario:
     """Parameters of one multiplicative shock run."""
@@ -86,11 +99,14 @@ class ShockScenario:
     exog_lags: int = 0
 
     def __post_init__(self) -> None:
+        """Check the factor and every count before any stage runs; a whole
+        float such as 2.0 is kept as the int 2."""
         _require_factor(self.factor)
-        if self.horizon < 1:
-            raise DomainError(f"horizon must be >= 1, got {self.horizon}")
-        if self.exog_lags < 0:
-            raise DomainError(f"exog_lags must be >= 0, got {self.exog_lags}")
+        for name, minimum in _COUNT_MINIMUMS.items():
+            value = getattr(self, name)
+            # a stage lag order left None is picked by the AIC search
+            if value is not None or name not in ("stage2_lags", "stage3_lags"):
+                object.__setattr__(self, name, _as_count(value, name, minimum))
         if self.stage2_lags is not None and self.exog_lags > self.stage2_lags:
             raise DomainError(
                 f"exog_lags must be in 0..{self.stage2_lags} (stage2_lags), got {self.exog_lags}"

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoverageError, DomainError, InsufficientDataError
-from .numerics import _factor, eigen_moduli
+from .numerics import _as_count, _factor, eigen_moduli
 from .quarterly import Frame, QuarterIndex, _lag_blocks
 
 
@@ -118,8 +118,7 @@ def _fit(
     ``start``: a finite float T x K array, which the fit does not keep. A
     caller that assembles a sample from values already checked finite
     (``shock``'s stage 3) fits it here without building a ``Frame``."""
-    if p < 1:
-        raise DomainError(f"lag order must be >= 1, got {p}")
+    p = _as_count(p, "lag order", 1)
     t, k = values.shape
     t_eff = t - p
 
@@ -127,6 +126,7 @@ def _fit(
     active = None
     n_active = 0
     if exog is not None:
+        exog_lags = _as_count(exog_lags, "exog_lags")
         if not 0 <= exog_lags <= p:
             raise DomainError(f"exog_lags must be in 0..{p}, got {exog_lags}")
         if exog.start != start or len(exog) < t:
@@ -211,8 +211,7 @@ def forecast_var(
     ``MissingColumnError``. Lagged exogenous terms of the first steps read
     the fit's last in-sample exogenous rows.
     """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    horizon = _as_count(horizon, "horizon", 1)
     start = fit.sample_start.shift(fit.n_sample)
 
     drive = np.tile(fit.const, (horizon, 1))

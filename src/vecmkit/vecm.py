@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, RankError, SingularDesignError
-from .numerics import PIVOT_TOL, OlsFit, _as_finite, _factor
+from .numerics import PIVOT_TOL, OlsFit, _as_count, _as_finite, _factor
 from .quarterly import Frame, QuarterIndex, _lag_blocks
 from .var import VarFit, forecast_var, freeze_arrays
 
@@ -142,8 +142,6 @@ def _design(frame: Frame, k: int) -> np.ndarray:
     factors."""
     n_vars = frame.n_columns
     t = len(frame)
-    if k < 1:
-        raise DomainError(f"lag order must be >= 1, got {k}")
     if t - k < n_vars * k + 1:
         raise InsufficientDataError(
             f"{t} rows are too few for the rank machinery with {n_vars} variables "
@@ -239,7 +237,7 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
         p = search.max_lag
         blocks = np.hsplit(search.r, range(1, 2 + n_vars * p, n_vars))
         stacked = np.vstack([_vecm_columns(blocks, k), xy[: p - k]])
-        fit = OlsFit(xy, np.linalg.qr(stacked, mode="r"), n_z2, n_z2)
+        fit = OlsFit(xy, np.linalg.qr(stacked, mode="r"), n_z2)
     else:
         fit = _factor(xy, n_z2)
     below_z2 = fit.augmented_r[n_z2:, n_z2:]
@@ -284,6 +282,7 @@ def johansen_trace(frame: Frame, k: int) -> JohansenResult:
     n_vars = frame.n_columns
     if n_vars not in TRACE_CRIT_5PCT:
         raise DomainError(f"no trace critical value for K - r = {n_vars}; table covers 1..12")
+    k = _as_count(k, "lag order", 1)
     concentration = _concentration(frame, k)
     lam, t_eff = concentration.eigenvalues, concentration.t_eff
     stats = _trace_sums(concentration.log_complements, t_eff)
@@ -400,11 +399,13 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
     nothing.
     """
     n_vars = frame.n_columns
+    r = _as_count(r, "rank")
     if not 0 < r < n_vars:
         raise RankError(
             f"rank must lie strictly between 0 and {n_vars}; got {r}. "
             "Use a VAR in differences for r=0 or a levels VAR for r=K."
         )
+    k = _as_count(k, "lag order", 1)
     concentration = _concentration(frame, k)
     if r in concentration.fits:
         return concentration.fits[r]
@@ -419,7 +420,7 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
     r_z2, r_z0, r_z1 = _split(concentration.r, n_vars)
     xy = np.hstack([z2, z1 @ beta, z0])
     r_xy = np.linalg.qr(np.hstack([r_z2, r_z1 @ beta, r_z0]), mode="r")
-    fit = OlsFit(xy, r_xy, n_z2 + r, n_z2 + r)
+    fit = OlsFit(xy, r_xy, n_z2 + r)
     coef = fit.coefficients
     const = coef[0].copy()
     gammas = tuple(coef[1 + n_vars * (i - 1) : 1 + n_vars * i].T.copy() for i in range(1, k))

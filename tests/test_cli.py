@@ -663,6 +663,16 @@ class TestErrorReporting:
         assert err == {"type": "DomainError", "message": f"lm_lags must be >= 1, got {lm_lags}"}
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--stage2-lags", "--stage3-lags"])
+    def test_stage_lags_below_one_named_before_any_stage(self, dataset, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        run_cli("--dataset", str(dataset), "-o", str(out), "shock", flag, "0", expect=1)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        name = flag[2:].replace("-", "_")
+        assert json.loads(captured.err)["error"] == {"type": "DomainError", "message": f"{name} must be >= 1, got 0"}
+        assert list(out.iterdir()) == []
+
     def test_missing_dataset_is_machine_readable(self, tmp_path, capsys):
         run_cli("-o", str(tmp_path / "out"), "describe", expect=1)
         err = json.loads(capsys.readouterr().err)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,16 @@ from vecmkit.errors import (
     SingularDesignError,
 )
 
-from vecmkit.numerics import LOG_2PI, log_det, ols
+from vecmkit.numerics import LOG_2PI, ols
 
 from conftest import make_frame, simulate_var, well_specified_vecm_fit
+
+def lagged_design(values, max_lag, lag):
+    """[1, X_{t-1} .. X_{t-lag}] over the rows t >= max_lag, from explicit
+    index slices."""
+    t = values.shape[0]
+    return np.hstack([np.ones((t - max_lag, 1)), *(values[max_lag - j : t - j] for j in range(1, lag + 1))])
+
 
 # Published reference rows used throughout: log likelihoods by lag and the
 # (skewness, kurtosis) inputs of the normality table, both at T_eff = 65.
@@ -82,13 +90,11 @@ class TestLagOrderSelection:
     def test_rows_match_separate_fits(self, panel69):
         report = lag_order_selection(panel69, 4)
         targets = panel69.values[4:]
-        ones = np.ones((report.t_eff, 1))
-        lags = vk.lag_matrix(panel69.values, 4)
+        t = report.t_eff
         for row in report.rows:
-            design = np.hstack([ones, lags[:, : 6 * row.lag]])
-            assert row.log_likelihood == pytest.approx(
-                vk.ols(targets, design).log_likelihood, rel=1e-10
-            )
+            design = lagged_design(panel69.values, 4, row.lag)
+            ld = np.linalg.slogdet(vk.ols(targets, design).sigma)[1]
+            assert row.log_likelihood == pytest.approx(-0.5 * t * (6 * LOG_2PI + 6 + ld), rel=1e-10)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -98,16 +104,20 @@ class TestLagOrderSelection:
     @settings(max_examples=40)
     def test_log_likelihoods_equal_per_width_fits(self, seed, n_vars, max_lag):
         """The stacked log-determinants give each lag's log likelihood bit
-        for bit as the fit on that leading block alone, and as the formula
-        on that fit's own sigma."""
+        for bit as the widest fit's call for that width alone, and to
+        rounding as the formula on a separate fit's own sigma."""
         frame = make_frame(np.random.default_rng(seed).standard_normal((90, n_vars)).cumsum(axis=0))
         report = lag_order_selection(frame, max_lag)
         t = report.t_eff
-        widest = ols(frame.values[max_lag:], np.hstack([np.ones((t, 1)), vk.lag_matrix(frame.values, max_lag)]))
+        targets = frame.values[max_lag:]
+        widest = ols(targets, lagged_design(frame.values, max_lag, max_lag))
         for row in report.rows:
-            nested = widest.leading(1 + n_vars * row.lag)
-            by_formula = -0.5 * t * (n_vars * LOG_2PI + n_vars + log_det(nested.sigma))
-            assert row.log_likelihood == nested.log_likelihood == by_formula
+            design = lagged_design(frame.values, max_lag, row.lag)
+            ld = np.linalg.slogdet(ols(targets, design).sigma)[1]
+            assert row.log_likelihood == widest.log_likelihoods([design.shape[1]])[0]
+            assert row.log_likelihood == pytest.approx(
+                -0.5 * t * (n_vars * LOG_2PI + n_vars + ld), rel=1e-10
+            )
 
     def test_degenerate_lag_raises(self, rng):
         """A variable that its own first lag fits exactly leaves the VAR(1)
@@ -177,12 +187,13 @@ class TestLmAutocorrelation:
         assert got.statistic == pytest.approx(want, rel=1e-12)
 
     def test_overflowing_covariance_rejected(self, rng):
-        # The residual cross-product overflows to inf; numpy's overflow
-        # warning is silenced so that the error itself is what raises.
+        # The residual cross-product overflows to inf: with warnings as
+        # errors, the error itself is what raises, not numpy's warning.
         u = rng.standard_normal((80, 3)) * 1e160
-        with np.errstate(over="ignore"), pytest.raises(
+        with warnings.catch_warnings(), pytest.raises(
             DomainError, match="^A contains non-finite entries$"
         ):
+            warnings.simplefilter("error")
             lm_autocorrelation(u, 1)
 
     def test_detects_autocorrelated_residuals(self, rng):
@@ -291,11 +302,12 @@ class TestNormalitySuite:
             assert row.kurtosis == float(np.mean(w[:, i] ** 4))
 
     def test_overflowing_covariance_rejected(self, rng):
-        # as in the LM test: the cross-product overflows, and the warning
-        # numpy gives for it is silenced
-        with np.errstate(over="ignore"), pytest.raises(
+        # as in the LM test: the cross-product overflows, and with warnings
+        # as errors the error itself is what raises
+        with warnings.catch_warnings(), pytest.raises(
             DomainError, match="^A contains non-finite entries$"
         ):
+            warnings.simplefilter("error")
             normality_suite(rng.standard_normal((80, 3)) * 1e160)
 
     @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from vecmkit import (
     cholesky_lower,
     eigen_moduli,
     generalized_symmetric_eigen,
-    log_det,
     ols,
 )
 from vecmkit.errors import (
@@ -28,7 +29,7 @@ from vecmkit.errors import (
 from vecmkit.formatting import from_jsonable
 from vecmkit.numerics import OlsFit
 
-from conftest import random_spd
+from conftest import cointegrated_panel, random_spd
 
 
 def normal_equations_ols(y, x) -> np.ndarray:
@@ -84,14 +85,14 @@ class TestOls:
         y = rng.standard_normal((60, 2))
         fit = ols(y, x)
         t, k = 60, 2
-        expected = -(t / 2) * (k * math.log(2 * math.pi) + k + log_det(fit.sigma))
-        assert fit.log_likelihood == pytest.approx(expected, rel=1e-12)
+        expected = -(t / 2) * (k * math.log(2 * math.pi) + k + np.linalg.slogdet(fit.sigma)[1])
+        assert fit.log_likelihoods([2])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_exact_fit_log_likelihood_errors_not_inf(self):
         x = np.arange(1.0, 11.0).reshape(-1, 1)
         fit = ols(2.0 * x, x)
         with pytest.raises(DegenerateInputError):
-            fit.log_likelihood
+            fit.log_likelihoods([1])
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -103,34 +104,32 @@ class TestOls:
         t = width + extra_rows
         x = np.hstack([np.ones((t, 1)), rng.standard_normal((t, width - 1))])
         with pytest.raises(DegenerateInputError):
-            ols(2.0 * x, x).log_likelihood
+            ols(2.0 * x, x).log_likelihoods([width])
 
     def test_caller_writes_after_the_fit_change_nothing(self, rng):
         x = rng.standard_normal((50, 4))
         y = rng.standard_normal((50, 2))
-        want = ols(np.array(y), np.array(x)[:, :2])
+        want = ols(np.array(y), np.array(x))
         fit = ols(y, x)
         x[:, 1] *= 3.0
         y[:] = 0.0
-        nested = fit.leading(2)
         for got, ref in (
-            (nested.residuals, want.residuals),
-            (nested.coefficients, want.coefficients),
-            (nested.sigma, want.sigma),
+            (fit.residuals, want.residuals),
+            (fit.coefficients, want.coefficients),
+            (fit.sigma, want.sigma),
         ):
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+            assert got.tobytes() == ref.tobytes()
 
     def test_fit_arrays_are_read_only(self, rng):
         fit = ols(rng.standard_normal((50, 2)), rng.standard_normal((50, 4)))
-        for fit_ in (fit, fit.leading(2)):
-            for array in (fit_.sigma, fit_.coefficients, fit_.residuals, fit_.r):
-                with pytest.raises(ValueError):
-                    array[:] = 4 * array
+        for array in (fit.sigma, fit.coefficients, fit.residuals, fit.r):
+            with pytest.raises(ValueError):
+                array[:] = 4 * array
 
     def test_fit_built_on_writable_arrays_makes_them_read_only(self, rng):
         xy = rng.standard_normal((50, 6))
         r = np.linalg.qr(xy, mode="r")
-        fit = OlsFit(xy, r, 4, 4)
+        fit = OlsFit(xy, r, 4)
         for array in (xy, r, fit.augmented_r):
             with pytest.raises(ValueError):
                 array[:] = 4 * array
@@ -177,21 +176,19 @@ class TestOlsLeading:
         extra_rows=st.integers(1, 60),
     )
     def test_matches_ols_on_each_slice(self, seed, width, n_eq, extra_rows):
+        """The sigma and log likelihood of each leading width, read off the
+        widest fit's R, match a separate fit on that slice."""
         rng = np.random.default_rng(seed)
         t = width + extra_rows + n_eq
         x = np.hstack([np.ones((t, 1)), rng.standard_normal((t, width - 1))])
         y = rng.standard_normal((t, n_eq))
         full = ols(y, x)
-        for m in range(1, width + 1):
-            nested = full.leading(m)
+        widths = range(1, width + 1)
+        lls = full.log_likelihoods(widths)
+        for m, ll in zip(widths, lls):
             direct = ols(y, x[:, :m])
-            for a, b in (
-                (nested.coefficients, direct.coefficients),
-                (nested.residuals, direct.residuals),
-                (nested.sigma, direct.sigma),
-            ):
-                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
-            assert nested.log_likelihood == pytest.approx(direct.log_likelihood, rel=1e-10)
+            np.testing.assert_allclose(full._sigma(m), direct.sigma, rtol=1e-10, atol=1e-10)
+            assert ll == pytest.approx(direct.log_likelihoods([m])[0], rel=1e-10)
 
     def test_design_singular_beyond_m(self, rng):
         m = 3
@@ -200,18 +197,10 @@ class TestOlsLeading:
         y = rng.standard_normal((40, 2))
         fits = ols(y, x[:, :m])
         for w in range(1, m + 1):
-            np.testing.assert_allclose(
-                fits.leading(w).coefficients, ols(y, x[:, :w]).coefficients, atol=1e-10
-            )
+            np.testing.assert_allclose(fits._sigma(w), ols(y, x[:, :w]).sigma, atol=1e-10)
         for w in range(m + 1, x.shape[1] + 1):
             with pytest.raises(SingularDesignError):
                 ols(y, x[:, :w])
-
-    def test_width_out_of_range(self, rng):
-        fit = ols(rng.standard_normal((20, 1)), rng.standard_normal((20, 3)))
-        for m in (0, 4):
-            with pytest.raises(DomainError):
-                fit.leading(m)
 
 
 def cholesky_loop_oracle(a) -> np.ndarray:
@@ -302,11 +291,10 @@ class TestCholesky:
         for index in np.ndindex(shape):
             stack[index] = random_spd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
         stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
-        lower, lds = cholesky_lower(stack), log_det(stack)
-        assert lower.shape == stack.shape and lds.shape == shape
+        lower = cholesky_lower(stack)
+        assert lower.shape == stack.shape
         for index in np.ndindex(shape):
             assert lower[index].tobytes() == cholesky_lower(stack[index]).tobytes()
-            assert lds[index] == log_det(stack[index])
 
     @pytest.mark.parametrize(
         "bad",
@@ -317,10 +305,9 @@ class TestCholesky:
     def test_stack_names_failing_slice(self, bad, j):
         stack = np.stack([(i + 1.0) * np.eye(3) for i in range(5)])
         stack[j] = bad
-        for call in (cholesky_lower, log_det):
-            with pytest.raises(NotPositiveDefiniteError, match=rf"\(slice {j}\): pivot 2 ") as err:
-                call(stack)
-            assert err.value.pivot == 2
+        with pytest.raises(NotPositiveDefiniteError, match=rf"\(slice {j}\): pivot 2 ") as err:
+            cholesky_lower(stack)
+        assert err.value.pivot == 2
 
     def test_stack_names_first_failing_slice(self):
         """Slices are checked in row-major order, whichever way each fails:
@@ -387,19 +374,6 @@ class TestGeneralizedEigen:
     def test_b_not_pd(self):
         with pytest.raises(NotPositiveDefiniteError):
             generalized_symmetric_eigen(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-class TestLogDet:
-    def test_identity(self):
-        assert log_det(np.eye(4)) == pytest.approx(0.0)
-
-    def test_diag_e(self):
-        assert log_det(np.diag([math.e, math.e])) == pytest.approx(2.0)
-
-    def test_eigenvalue_oracle(self, rng):
-        a = random_spd(rng, 4)
-        oracle = float(np.sum(np.log(np.linalg.eigvalsh(a))))
-        assert log_det(a) == pytest.approx(oracle, abs=1e-8)
 
 
 class TestChiSquareSf:
@@ -483,7 +457,6 @@ def _outside_inputs():
         "ols Y": (lambda a: ols(a, x), y, DomainError, "Y"),
         "ols X": (lambda a: ols(y, a), x, DomainError, "X"),
         "cholesky_lower": (cholesky_lower, spd, DomainError, "A"),
-        "log_det": (log_det, spd, DomainError, "A"),
         "generalized_symmetric_eigen A": (
             lambda a: generalized_symmetric_eigen(a, spd), spd, DomainError, "A"
         ),
@@ -557,3 +530,71 @@ class TestOutsideArrays:
     def test_non_array_input_raises_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+
+@functools.lru_cache(maxsize=1)
+def _count_subjects():
+    """A panel, its VAR(2) and rank-2 VECM fits, residuals and a walk: what
+    the count entry points below are called on."""
+    frame = cointegrated_panel()
+    u = np.random.default_rng(3).standard_normal((80, 2))
+    return frame, vk.fit_var(frame, 2), vk.fit_vecm(frame, 2, 2), u, np.cumsum(u[:, 0])
+
+
+def _scenario(**counts):
+    frame = _count_subjects()[0]
+    return vk.ShockScenario("exchange_rate", 1.15, frame.end.next(), **counts)
+
+
+# entry point -> (the call on a count, a valid count, the name its errors give)
+_COUNT_INPUTS = {
+    "fit_var": (lambda n: vk.fit_var(_count_subjects()[0], n), 2, "lag order"),
+    "lag_order_selection": (lambda n: vk.lag_order_selection(_count_subjects()[0], n), 2, "max_lag"),
+    "johansen_trace": (lambda n: vk.johansen_trace(_count_subjects()[0], n), 2, "lag order"),
+    "fit_vecm k": (lambda n: vk.fit_vecm(_count_subjects()[0], n, 2), 2, "lag order"),
+    "fit_vecm r": (lambda n: vk.fit_vecm(_count_subjects()[0], 2, n), 2, "rank"),
+    "forecast_var": (lambda n: vk.forecast_var(_count_subjects()[1], n), 4, "horizon"),
+    "forecast_vecm": (lambda n: vk.forecast_vecm(_count_subjects()[2], n), 4, "horizon"),
+    "ma_coefficients": (lambda n: vk.ma_coefficients(_count_subjects()[1], n), 4, "horizon"),
+    "orthogonalized_irfs": (
+        lambda n: vk.orthogonalized_irfs(_count_subjects()[1], n, "output"), 4, "horizon"
+    ),
+    "lm_autocorrelation": (lambda n: vk.lm_autocorrelation(_count_subjects()[3], n), 1, "lag"),
+    "adf_test": (lambda n: vk.adf_test(_count_subjects()[4], n), 1, "lags"),
+    "normality_suite": (lambda n: vk.normality_suite(_count_subjects()[3], n_eff=n), 40, "n_eff"),
+    **{
+        f"ShockScenario {name}": (lambda n, name=name: _scenario(**{name: n}), 1, name)
+        for name in ("horizon", "vecm_lags", "rank", "stage2_lags", "stage3_lags", "exog_lags")
+    },
+}
+# None asks for the default here, so it is a valid value
+_NONE_ACCEPTED = {"normality_suite", "ShockScenario stage2_lags", "ShockScenario stage3_lags"}
+
+
+class TestOutsideCounts:
+    """Every count from outside goes through one check, so a fraction, a
+    string, NaN or None raises ``DomainError`` naming the count, never
+    Python's own ``TypeError``, and a whole float is taken as its int."""
+
+    @pytest.mark.parametrize(
+        "entry, bad",
+        [
+            (entry, bad)
+            for entry in sorted(_COUNT_INPUTS)
+            for bad in (2.5, "2", math.nan, None)
+            if not (bad is None and entry in _NONE_ACCEPTED)
+        ],
+    )
+    def test_non_integer_raises_domain_error(self, entry, bad):
+        call, good, name = _COUNT_INPUTS[entry]
+        call(good)
+        call(float(good))
+        call(np.int64(good))
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
+
+    def test_whole_float_is_kept_as_int(self):
+        frame = _count_subjects()[0]
+        assert vk.johansen_trace(frame, 2.0).lags == 2 and type(vk.fit_vecm(frame, 2.0, 2.0).lags) is int
+        scenario = _scenario(horizon=8.0, stage3_lags=np.int64(2))
+        assert (type(scenario.horizon), type(scenario.stage3_lags)) == (int, int)

@@ -10,9 +10,7 @@ from vecmkit import (
     QuarterIndex,
     Series,
     first_difference,
-    lag_matrix,
     load_frame,
-    loads_frame,
     location_quotient,
     parse_quarter,
     proxy_quarterly_output,
@@ -28,6 +26,7 @@ from vecmkit.errors import (
     QuarterGapError,
     QuarterParseError,
 )
+from vecmkit.quarterly import _lag_blocks
 
 from conftest import make_frame
 
@@ -75,41 +74,48 @@ class TestQuarterIndex:
 CSV_3ROW = "quarter,value\n2001Q1,1.0\n2001Q2,2.0\n2001Q3,3.0\n"
 
 
+def load_text(tmp_path, text, schema):
+    """``load_frame`` on ``text`` written to panel.csv in ``tmp_path``."""
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    return load_frame(path, schema=schema)
+
+
 class TestLoadFrame:
-    def test_three_row_toy(self):
-        frame = loads_frame(CSV_3ROW, schema=("value",))
+    def test_three_row_toy(self, tmp_path):
+        frame = load_text(tmp_path, CSV_3ROW, ("value",))
         assert len(frame) == 3
         assert frame.start == QuarterIndex(2001, 1)
         np.testing.assert_array_equal(frame.column("value"), [1.0, 2.0, 3.0])
 
-    def test_gap_detection(self):
+    def test_gap_detection(self, tmp_path):
         text = "quarter,value\n2001Q1,1.0\n2001Q3,3.0\n"
         with pytest.raises(QuarterGapError, match="2001Q2"):
-            loads_frame(text, schema=("value",))
+            load_text(tmp_path, text, ("value",))
 
-    def test_missing_column_named(self):
+    def test_missing_column_named(self, tmp_path):
         with pytest.raises(MissingColumnError, match="price"):
-            loads_frame(CSV_3ROW, schema=("value", "price"))
+            load_text(tmp_path, CSV_3ROW, ("value", "price"))
 
-    def test_non_numeric_cell_names_row_and_column(self):
+    def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         text = "quarter,value\n2001Q1,1.0\n2001Q2,oops\n"
         with pytest.raises(NonNumericCellError, match=r"row 3.*value"):
-            loads_frame(text, schema=("value",))
+            load_text(tmp_path, text, ("value",))
 
-    def test_short_row_names_row_and_column(self):
+    def test_short_row_names_row_and_column(self, tmp_path):
         text = "quarter,a,b\n2001Q1,1,2\n2001Q2,3\n"
-        with pytest.raises(NonNumericCellError, match="<string>: row 3, column 'b': missing cell"):
-            loads_frame(text, schema=("a", "b"))
+        with pytest.raises(NonNumericCellError, match="panel.csv: row 3, column 'b': missing cell"):
+            load_text(tmp_path, text, ("a", "b"))
 
-    def test_empty_file(self):
+    def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyInputError):
-            loads_frame("", schema=("value",))
+            load_text(tmp_path, "", ("value",))
         with pytest.raises(EmptyInputError):
-            loads_frame("quarter,value\n", schema=("value",))
+            load_text(tmp_path, "quarter,value\n", ("value",))
 
-    def test_columns_reordered_to_schema(self):
+    def test_columns_reordered_to_schema(self, tmp_path):
         text = "quarter,b,a\n2001Q1,2.0,1.0\n"
-        frame = loads_frame(text, schema=("a", "b"))
+        frame = load_text(tmp_path, text, ("a", "b"))
         assert frame.names == ("a", "b")
         np.testing.assert_array_equal(frame.values, [[1.0, 2.0]])
 
@@ -219,59 +225,23 @@ class TestFirstDifference:
         np.testing.assert_allclose(rebuilt, np.asarray(values)[1:], rtol=0, atol=1e-6)
 
 
-class TestLagMatrix:
-    def test_single_lag_alignment(self):
-        values = np.array([[1.0], [2.0], [3.0]])
-        block = lag_matrix(values, 1)
-        np.testing.assert_array_equal(block[:, 0], [1.0, 2.0])
-        np.testing.assert_array_equal(values[1:, 0], [2.0, 3.0])
-
-    def test_usable_row_count(self):
-        assert lag_matrix(np.array([[1.0], [2.0], [3.0]]), 2).shape == (1, 2)
-
-    def test_reference_counting(self, panel69):
-        assert lag_matrix(panel69.values, 4).shape == (65, 24)
-
-    def test_row_t_of_lag_j(self, panel69):
-        block = lag_matrix(panel69.values, 3)
-        k = panel69.n_columns
-        for j in (1, 2, 3):
-            np.testing.assert_array_equal(
-                block[:, (j - 1) * k : j * k], panel69.values[3 - j : 69 - j]
-            )
-
+class TestLagBlocks:
     @given(
-        t=st.integers(1, 12),
+        rows=st.integers(1, 12),
         k=st.integers(1, 4),
         p=st.integers(0, 11),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_entry_is_value_p_plus_i_minus_j(self, t, k, p, seed):
+    def test_entry_is_value_p_plus_i_minus_j(self, rows, k, p, seed):
+        t = p + rows
         values = np.random.default_rng(seed).standard_normal((t, k))
-        if p >= t:
-            with pytest.raises(InsufficientDataError):
-                lag_matrix(values, p)
-            return
-        block = lag_matrix(values, p)
-        assert block.shape == (t - p, k * p)
-        for i in range(t - p):
-            for j in range(1, p + 1):
+        blocks = _lag_blocks(values, p)
+        assert len(blocks) == p
+        for j, block in enumerate(blocks, start=1):
+            assert block.shape == (t - p, k)
+            for i in range(t - p):
                 for v in range(k):
-                    assert block[i, (j - 1) * k + v] == values[p + i - j, v]
-
-    def test_zero_lags_give_an_empty_block(self, panel69):
-        assert lag_matrix(panel69.values, 0).shape == (69, 0)
-
-    def test_too_many_lags(self):
-        with pytest.raises(InsufficientDataError):
-            lag_matrix(np.array([[1.0], [2.0]]), 2)
-
-    @pytest.mark.parametrize(
-        "values, p", [(make_frame([1.0, 2.0, 3.0]), 1), (np.ones(5), 1), (np.ones((5, 2)), -1)]
-    )
-    def test_rejects_a_frame_a_vector_and_negative_lags(self, values, p):
-        with pytest.raises(DomainError):
-            lag_matrix(values, p)
+                    assert block[i, v] == values[p + i - j, v]
 
 
 class TestSummaryStats:

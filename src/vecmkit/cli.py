@@ -26,6 +26,22 @@ each command's handler, help text and flags; a flag is its config key spelt
 ``--key-with-dashes`` without the block prefix, unless a ``(flag, key)``
 pair says otherwise. Handlers receive a ``_Run``, which loads the dataset,
 fits the VECM, writes the artifacts and builds the audit.
+
+Each command is a fresh process, and a single run's cost is mostly start-up,
+so a command loads only the modules it runs. This module imports
+``errors``, ``quarterly`` and ``formatting`` (with ``numerics``), which is
+all ``describe`` and ``lq`` need; each handler imports the library functions
+it calls, so the VECM commands add ``var`` and ``vecm``, ``adf``,
+``lagselect`` and ``diagnose`` add ``diagnostics``, ``irf`` adds ``irf``,
+and ``shock`` loads everything.
+
+``entry`` is the process (``python -m vecmkit.cli`` and the ``vecmkit``
+console script): it runs ``main``, then ``gc.freeze()``, then exits, so the
+interpreter's shutdown collection does not traverse again the objects numpy
+and vecmkit built, none of which is garbage by then. Every file is closed by
+then, and stdout and stderr are flushed at exit whatever the collector
+does. ``main`` itself never freezes: a caller that runs it many times in one
+process keeps its garbage collectable.
 """
 
 from __future__ import annotations
@@ -33,6 +49,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -42,17 +59,17 @@ from dataclasses import astuple, dataclass, field
 from functools import cached_property, reduce
 from operator import getitem
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import adf_test, lag_order_selection, lm_autocorrelation, normality_suite, vecm_stability
 from .errors import ConfigError, DomainError, MissingColumnError, NonNumericCellError, VecmkitError
 from .formatting import format_table, sig6, to_jsonable, write_csv, write_frame, write_json
-from .irf import orthogonalized_irfs
 from .quarterly import DEFAULT_SCHEMA, Frame, load_frame, location_quotient, parse_quarter, summary_stats
-from .shock import ShockScenario, run_three_stage
-from .vecm import VecmFit, fit_vecm, forecast_vecm, johansen_trace, select_rank, vecm_to_levels_var
+
+if TYPE_CHECKING:
+    from .vecm import VecmFit
 
 CONFIG_ENV_VAR = "VECMKIT_CONFIG"
 
@@ -170,6 +187,8 @@ class _Run:
         return load_frame(dataset, schema=self.config.variables)
 
     def fit(self, frame: Frame | None = None) -> VecmFit:
+        from .vecm import fit_vecm
+
         return fit_vecm(self.frame if frame is None else frame, self.config.lags, self.config.rank)
 
     def json(self, name: str, payload: dict) -> None:
@@ -219,6 +238,8 @@ def _cmd_describe(run: _Run) -> None:
 
 
 def _cmd_adf(run: _Run) -> None:
+    from .diagnostics import adf_test
+
     config = run.config
     results = {name: adf_test(run.frame.column(name), config.adf_lags, config.adf_spec) for name in run.frame.names}
     rows = [[n, r.statistic, *r.critical_values.values(), r.reject_5pct] for n, r in results.items()]
@@ -239,6 +260,8 @@ def _cmd_adf(run: _Run) -> None:
 
 
 def _cmd_lagselect(run: _Run) -> None:
+    from .diagnostics import lag_order_selection
+
     report = lag_order_selection(run.frame, run.config.max_lag)
     header = ["lag", "ll", "lr", "lr_df", "lr_p", "fpe", "aic", "hqic", "sbic"]
     rows = list(map(astuple, report.rows))
@@ -254,6 +277,8 @@ def _cmd_lagselect(run: _Run) -> None:
 
 
 def _cmd_johansen(run: _Run) -> None:
+    from .vecm import johansen_trace, select_rank
+
     result = johansen_trace(run.frame, run.config.lags)
     selected = select_rank(result)
     n = result.n_vars
@@ -295,11 +320,15 @@ def _cmd_fit_vec(run: _Run) -> None:
 
 
 def _cmd_diagnose(run: _Run) -> None:
+    from .diagnostics import lm_autocorrelation, normality_suite, vecm_stability
+
     lm_lags = run.config.lm_lags
     if lm_lags < 1:
         raise DomainError(f"lm_lags must be >= 1, got {lm_lags}")
     fit = run.fit()
-    lm_results = [lm_autocorrelation(fit.residuals, lag) for lag in range(1, lm_lags + 1)]
+    # the largest lag first: one too large for the residuals fails before any test runs
+    last = lm_autocorrelation(fit.residuals, lm_lags)
+    lm_results = [*(lm_autocorrelation(fit.residuals, lag) for lag in range(1, lm_lags)), last]
     names = tuple(f"D_{n}" for n in fit.names)
     normality = normality_suite(fit.residuals, n_eff=run.config.n_eff, names=names)
     stability = vecm_stability(fit)
@@ -338,6 +367,9 @@ def _cmd_diagnose(run: _Run) -> None:
 
 
 def _cmd_irf(run: _Run) -> None:
+    from .irf import orthogonalized_irfs
+    from .vecm import vecm_to_levels_var
+
     config = run.config
     fit = vecm_to_levels_var(run.fit())
     impulse = config.impulse or run.frame.names[0]
@@ -352,6 +384,8 @@ def _cmd_irf(run: _Run) -> None:
 
 
 def _cmd_forecast(run: _Run) -> None:
+    from .vecm import forecast_vecm
+
     forecast = forecast_vecm(run.fit(), run.config.horizon)
     _table(
         f"Dynamic forecast {forecast.start}..{forecast.end}",
@@ -365,6 +399,8 @@ def _cmd_forecast(run: _Run) -> None:
 
 
 def _cmd_backtest(run: _Run) -> None:
+    from .vecm import forecast_vecm
+
     frame = run.frame
     holdout = run.config.holdout
     if not 0 < holdout < len(frame):
@@ -390,6 +426,8 @@ def _cmd_backtest(run: _Run) -> None:
 
 
 def _cmd_shock(run: _Run) -> None:
+    from .shock import ShockScenario, run_three_stage
+
     config, shock = run.config, run.config.shock
     frame = run.frame
     scenario = ShockScenario(
@@ -418,6 +456,12 @@ def _cmd_shock(run: _Run) -> None:
         ["response", "impact (step 0)", f"step {step}"],
         [[name, irf.values[0], irf.values[step]] for name, irf in result.irfs.items()],
     )
+    names = result.stage3_fit.names
+    before = names[: names.index(scenario.target)]
+    if before:
+        print()
+        print(f"Impact (step 0) is 0 by the Cholesky ordering for those ordered before {scenario.target}: "
+              f"{', '.join(before)}")
 
 
 def _cmd_lq(run: _Run) -> None:
@@ -537,5 +581,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The ``vecmkit`` process: exit with ``main``'s code, the heap frozen
+    first, so the shutdown collection skips every object built so far."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -257,6 +257,22 @@ class TestStdout:
             assert len(irf) == horizon + 1
             assert_cells([name, *row], [name, irf[0][1], irf[step][1]])
 
+    @pytest.mark.parametrize(
+        "target, before",
+        [("exchange_rate", "output, price, employment, wages"), ("wages", "output, price, employment"), ("output", None)],
+    )
+    def test_shock_names_the_impact_zeros_of_the_ordering(self, dataset, tmp_path, capsys, target, before):
+        run_cli("--dataset", str(dataset), "-o", str(tmp_path / "out"), "shock", "--target", target)
+        text = capsys.readouterr().out
+        [(_, _, rows)] = printed_tables(text)
+        k = [row[0] for row in rows].index(target)
+        assert all(row[1] == "0" for row in rows[:k]) and rows[k][1] != "0"
+        note = "Impact (step 0) is 0 by the Cholesky ordering for those ordered before"
+        if before is None:
+            assert k == 0 and note not in text
+        else:
+            assert text.endswith(f"\n\n{note} {target}: {before}\n")
+
     def test_irf(self, dataset, tmp_path, capsys):
         out, tables = self.run(dataset, tmp_path, capsys, "irf", "--impulse", "price", "--horizon", "8")
         assert len(tables) == 6
@@ -661,6 +677,24 @@ class TestErrorReporting:
         assert captured.out == "" and captured.err.count("\n") == 1
         err = json.loads(captured.err)["error"]
         assert err == {"type": "DomainError", "message": f"lm_lags must be >= 1, got {lm_lags}"}
+        assert list(out.iterdir()) == []
+
+    def test_lm_lags_too_large_named_before_any_test_runs(self, dataset, tmp_path, capsys, monkeypatch):
+        import vecmkit.diagnostics
+
+        lags = []
+        lm_autocorrelation = vecmkit.diagnostics.lm_autocorrelation
+        monkeypatch.setattr(
+            vecmkit.diagnostics, "lm_autocorrelation", lambda u, lag: lags.append(lag) or lm_autocorrelation(u, lag)
+        )
+        out = tmp_path / "out"
+        run_cli("--dataset", str(dataset), "-o", str(out), "diagnose", "--lm-lags", "70", expect=1)
+        captured = capsys.readouterr()
+        assert captured.out == "" and lags == [70]
+        assert json.loads(captured.err)["error"] == {
+            "type": "InsufficientDataError",
+            "message": "67 residual rows are too few for lag 70",
+        }
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--stage2-lags", "--stage3-lags"])

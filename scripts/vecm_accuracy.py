@@ -54,7 +54,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402
 import vecmkit as vk  # noqa: E402
-from vecmkit import vecm  # noqa: E402
 
 SWEEPS = 4
 STUDY_LAGS, STUDY_RANK = 2, 2
@@ -177,14 +176,12 @@ def recursion_errors(frame: vk.Frame) -> dict[str, float]:
 
 def shared_trace_gap(frame: vk.Frame) -> float:
     """Largest gap between the trace statistics read off the lag search's
-    factor and those from a cold concentration, relative to the largest cold
-    statistic. The search stays kept, so the next fit of the frame reads its
-    factor too."""
-    vecm._searched = None
-    vecm._concentration.cache_clear()
-    cold = vk.johansen_trace(frame, ROLLING_LAGS).trace_stats
+    factor and those from a cold concentration, run on an equal frame built
+    apart, relative to the largest cold statistic. The search stays kept
+    with ``frame``, so the next fit of the frame reads its factor too."""
+    twin = vk.Frame(frame.start, frame.names, np.array(frame.values))
+    cold = vk.johansen_trace(twin, ROLLING_LAGS).trace_stats
     vk.lag_order_selection(frame, ROLLING_MAX_LAG)
-    vecm._concentration.cache_clear()
     shared = vk.johansen_trace(frame, ROLLING_LAGS).trace_stats
     return float(np.max(np.abs(shared - cold)) / np.max(np.abs(cold)))
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .numerics import LOG_2PI, _as_count, _as_finite, _cholesky, _factor, chi_square_sf
 from .quarterly import Frame, _lag_blocks
-from .vecm import VecmFit, _keep_search, _levels_blocks, vecm_to_levels_var
+from .vecm import VecmFit, _levels_blocks, _shared, vecm_to_levels_var
 from .var import stability_moduli
 
 LR_SIGNIFICANCE = 0.05
@@ -90,11 +90,11 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
     and its log likelihood is read off that factor's residual covariance;
     the max_lag + 1 covariances take one stacked Cholesky call, and no
     coefficients or residuals are formed. A search that succeeds keeps that
-    factor's read-only R of [1 | X_{t-1} .. X_{t-max_lag} | X_t] for its
-    frame, in place of the last one kept: a rank test or VECM fit of that
-    frame object at lag order k <= max_lag then reads its own R off it by one
-    small QR (see ``vecm``), and its results may move at rounding level
-    against a cold run, though not its rank pick."""
+    factor's read-only R of [1 | X_{t-1} .. X_{t-max_lag} | X_t] in the
+    frame's shared work, in place of any search kept there: a rank test or
+    VECM fit of that frame object at lag order k <= max_lag then reads its
+    own R off it by one small QR (see ``vecm``), and its results may move at
+    rounding level against a cold run, though not its rank pick."""
     max_lag = _as_count(max_lag, "max_lag", 1)
     k = frame.n_columns
     t_eff = len(frame) - max_lag
@@ -138,7 +138,7 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
         "fpe": argmin("fpe"),
         "lr": lr_pick,
     }
-    _keep_search(frame, max_lag, widest.augmented_r)
+    _shared(frame)["search"] = max_lag, widest.augmented_r
     return LagSelectionReport(tuple(rows), t_eff, k, selected)
 
 

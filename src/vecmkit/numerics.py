@@ -164,10 +164,19 @@ class OlsFit:
     """
 
     def __init__(self, xy: np.ndarray, r: np.ndarray, n_x: int):
-        diag = np.abs(np.diag(r)[:n_x])
-        if diag.min() <= max(xy.shape[0], n_x) * np.finfo(float).eps * max(diag.max(), 1.0):
+        # Column j of R has the norm of column j of X, so each pivot is
+        # weighed against its own column's norm and no column's scale
+        # swamps another's. A norm that overflows is infinite: a column too
+        # large to square is flagged here, not left to overflow sigma. Every
+        # caller has more rows T than columns of X, so the tolerance is
+        # T eps.
+        head = r[:n_x, :n_x]
+        tol = len(xy) * np.finfo(float).eps
+        with np.errstate(over="ignore"):
+            small = np.abs(head.diagonal()) <= tol * np.sqrt(np.einsum("ij,ij->j", head, head))
+        if small.any():
             raise SingularDesignError(
-                f"design matrix is rank deficient (column pivot {int(diag.argmin())})"
+                f"design matrix is rank deficient (column pivot {small.argmax()})"
             )
         self._xy = _read_only(xy)  # [X | Y]
         self._r = _read_only(r)  # R of the QR of [X | Y]
@@ -175,7 +184,7 @@ class OlsFit:
 
     @property
     def nobs(self) -> int:
-        return int(self._xy.shape[0])
+        return self._xy.shape[0]
 
     @property
     def r(self) -> np.ndarray:

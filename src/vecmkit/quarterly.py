@@ -96,9 +96,9 @@ def _as_readonly(values) -> np.ndarray:
 class _Quarterly:
     """Content equality and quarter arithmetic shared by Series and Frame.
 
-    Two values of the same class are equal, and hash alike, when their
-    start, label(s), shape and every value's bytes agree, so either can key
-    a cache by content. A Series never equals a Frame.
+    Two values of the same class are equal when their start, label(s),
+    shape and every value's bytes agree. A Series never equals a Frame.
+    Neither is hashable.
     """
 
     def _key(self) -> tuple:
@@ -110,11 +110,8 @@ class _Quarterly:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        return self.values.shape[0]
 
     @property
     def end(self) -> QuarterIndex:
@@ -162,7 +159,7 @@ class Frame(_Quarterly):
 
     @property
     def n_columns(self) -> int:
-        return int(self.values.shape[1])
+        return self.values.shape[1]
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.names:
@@ -186,9 +183,6 @@ class Frame(_Quarterly):
 
     def head(self, n: int) -> "Frame":
         return Frame(self.start, self.names, self.values[:n])
-
-    def tail_rows(self, n: int) -> np.ndarray:
-        return np.array(self.values[-n:])
 
 
 def load_frame(path: str | Path, schema: Sequence[str] = DEFAULT_SCHEMA) -> Frame:

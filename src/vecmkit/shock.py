@@ -14,17 +14,17 @@ stage's scale so reports cannot silently mix levels and differences.
 
 Stage 1, the first difference, the AIC lag search and the stage-2 fit do
 not depend on the shock, so a grid of factors on one panel runs them once:
-the last call's results are kept, keyed by the frame's content (``Frame``
-equality: start, names and every value bit for bit) together with the VECM
-lags, rank, horizon, whether the lag search runs, the target, the stage-2
-lags and the exogenous lags. The stage-2 fit reads the exogenous target only
-on in-sample rows, where every factor's spliced path equals the differenced
-actuals, so its exogenous block is the differenced target column of the
-sample alone. The factor reaches stage 2 only through the forecast's
-``exog_path``: a one-column ``Frame`` of the spliced path's shocked rows,
-starting at the first forecast quarter, differenced from the last
-in-sample target on. A stage-3 failure names the factor, since the factor
-reaches that fit through those rows.
+they are kept in the panel's shared work (``vecm``'s one rule: the work
+done on a frame object, for the last two frame objects used), keyed by the
+VECM lags, rank, horizon, whether the lag search runs, the target, the
+stage-2 lags and the exogenous lags. The stage-2 fit reads the exogenous
+target only on in-sample rows, where every factor's spliced path equals the
+differenced actuals, so its exogenous block is the differenced target
+column of the sample alone. The factor reaches stage 2 only through the
+forecast's ``exog_path``: a one-column ``Frame`` of the spliced path's
+shocked rows, starting at the first forecast quarter, differenced from the
+last in-sample target on. A stage-3 failure names the factor, since the
+factor reaches that fit through those rows.
 
 The kept stages also hold two factor-free pieces a factor needs: the
 stage-1 forecast of the target, the path each factor scales, and the last
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +56,7 @@ from .irf import IrfResult, orthogonalized_irfs
 from .numerics import _as_count
 from .quarterly import Frame, QuarterIndex, Series, first_difference
 from .var import VarFit, _fit, fit_var, forecast_var
-from .vecm import fit_vecm, forecast_vecm
+from .vecm import _shared, fit_vecm, forecast_vecm
 
 DEFAULT_LAG_SEARCH = 4
 
@@ -170,20 +169,11 @@ class _FrameStages(NamedTuple):
     stage2_fit: VarFit  # differences, target exogenous, no rows past the sample
 
 
-@lru_cache(maxsize=1)
-def _frame_stages(
-    frame: Frame,
-    vecm_lags: int,
-    rank: int,
-    horizon: int,
-    search_lags: bool,
-    target: str,
-    stage2_lags: int | None,
-    exog_lags: int,
-) -> _FrameStages:
+def _frame_stages(frame: Frame, key: tuple) -> _FrameStages:
     """Stage 1 (VECM fit and baseline forecast), the first difference,
-    when ``search_lags`` the AIC lag search, and the stage-2 fit.
-    Memoized for the last key only; a call that raises caches nothing."""
+    when ``search_lags`` the AIC lag search, and the stage-2 fit, for the
+    factor-free part of a scenario that ``run_three_stage`` keys them by."""
+    vecm_lags, rank, horizon, search_lags, target, stage2_lags, exog_lags = key
     vfit = _stage(1, fit_vecm, frame, vecm_lags, rank)
     baseline = _stage(1, forecast_vecm, vfit, horizon)
     d_frame = first_difference(frame)
@@ -202,7 +192,7 @@ def _frame_stages(
         baseline,
         baseline.series(target),
         frame.column(target)[-1:],
-        int(vfit.residuals.shape[0]),
+        vfit.residuals.shape[0],
         d_frame,
         picked,
         lag_source,
@@ -219,11 +209,12 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
     (floored at 1) and are recorded in the audit log either way.
 
     Stage 1, the first difference, the AIC search and the stage-2 fit are
-    reused from the previous call when it had an equal frame (same start,
-    names and values bit for bit) and the same ``vecm_lags``, ``rank``,
-    ``horizon``, need for the search, ``target``, ``stage2_lags`` and
-    ``exog_lags``, so a factor grid on one panel fits stages 1 and 2 once.
-    The results are the same as a fresh run's, bit for bit.
+    reused from an earlier call on the same frame object with the same
+    ``vecm_lags``, ``rank``, ``horizon``, need for the search, ``target``,
+    ``stage2_lags`` and ``exog_lags``, while the frame's shared work is
+    kept, so a factor grid on one panel fits stages 1 and 2 once. The
+    results are the same as a fresh run's, bit for bit; a call that raises
+    keeps nothing.
     """
     target = scenario.target
     if target not in frame.names:
@@ -240,8 +231,7 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
     # Stage 1: in-sample VECM, baseline forecast, shock the target's path.
     # The differences, lag orders and stage-2 fit come with it.
     p2, p3 = scenario.stage2_lags, scenario.stage3_lags
-    stages = _frame_stages(
-        frame,
+    key = (
         scenario.vecm_lags,
         scenario.rank,
         horizon,
@@ -250,6 +240,10 @@ def run_three_stage(frame: Frame, scenario: ShockScenario) -> PipelineResult:
         p2,
         scenario.exog_lags,
     )
+    shared = _shared(frame)
+    if key not in shared:
+        shared[key] = _frame_stages(frame, key)
+    stages = shared[key]
     baseline, d_frame, fit2 = stages.stage1_forecast, stages.d_frame, stages.stage2_fit
     p2 = fit2.p
     p3 = stages.picked_lags if p3 is None else p3

@@ -13,45 +13,38 @@ R, the triangular factor of [z2 | z0 | z1] from one QR, by one small QR
 and one K x K SVD; the S matrices are never formed, so the data are never
 squared into Gram matrices.
 
-The concentration is the costly part and depends only on the frame and the
-lag order, so it is kept for the last (frame, k), keyed by the frame's
-content (``Frame`` equality: start, names and every value bit for bit). It
-keeps the eigen step, the array [z2 | z0 | z1] and its R. The rank test and
-every fit on one panel then share one concentration, and a fit builds and
-factors no tall matrix of its own: its design [z2, z1 beta] and target z0
-are Q times blocks of R, so the QR of those few rows (one per column of R)
-is a QR of [design | z0] (Golub & Van Loan, Matrix Computations, 5.3). The
-record is read-only, so a reused result equals a fresh one bit for bit.
+Work shared between calls follows one rule: ``_shared(frame)`` is the
+dict of work done on that frame object, kept for the last two frame objects
+used (a shock run uses its panel and the panel's first difference). The
+rank test and every fit of one frame object at lag order k share one
+concentration: the eigen step, the array [z2 | z0 | z1] and its R. A fit
+then builds and factors no tall matrix of its own: its design [z2, z1 beta]
+and target z0 are Q times blocks of R, so the QR of those few rows (one per
+column of R) is a QR of [design | z0] (Golub & Van Loan, Matrix
+Computations, 5.3). ``fit_vecm`` keeps its fit per (k, r) there too, and a
+lag search (``lag_order_selection``) keeps the R of its widest design
+[1 | X_{t-1} .. X_{t-p} | X_t]. A concentration at k <= p maps that R to
+[z2 | z0 | z1] and takes one small QR instead of factoring [z2 | z0 | z1]
+(``_concentrate``). Both give an R with the Gram matrix of [z2 | z0 | z1],
+so a rank test or fit made after a lag search of the same frame object may
+move at rounding level against one made before it, and its rank pick does
+not move short of a trace statistic within rounding of its critical value.
 
-R itself has two sources. A lag search (``lag_order_selection``) keeps the
-R of its widest design [1 | X_{t-1} .. X_{t-p} | X_t] for the last frame it
-searched successfully. When the frame concentrated is that object and
-p >= k, the concentration maps the kept R to [z2 | z0 | z1] and takes one
-small QR (``_concentrate``); otherwise it factors [z2 | z0 | z1] itself.
-Both give an R with the Gram matrix of [z2 | z0 | z1], so after a lag search
-of the same frame object a rank test's or fit's results may move at rounding
-level against a cold run, and its rank pick does not move short of a trace
-statistic within rounding of its critical value. The kept search is matched
-by identity, unlike the concentration memo: a frame loaded or built apart
-from the searched one, equal or not, is concentrated cold, so a CLI run,
-which loads its own copy of the panel, never reads a search made before it.
-
-Results built from a concentration are kept with it. ``fit_vecm`` keeps its
-fit per rank on the concentration record, so a second fit of an equal frame
-at the same k and r (the rank test's panel, say, refitted by stage 1 of the
-shock pipeline) returns the same ``VecmFit``; and a ``VecmFit`` keeps the
-levels VAR of ``vecm_to_levels_var``, so ``forecast_vecm``,
+Frames and every kept record are read-only, so kept work stays valid while
+its frame is kept, and a kept result equals a fresh one of the same call
+history bit for bit. An equal frame built apart, as each CLI run loads its
+own, shares nothing; a call that raises keeps nothing. A ``VecmFit`` keeps
+the levels VAR of ``vecm_to_levels_var``, so ``forecast_vecm``,
 ``vecm_stability`` and every outside caller share one conversion and the
-IRF stacks kept on it. Both are read-only records built from read-only
-arrays, so a kept result equals a fresh one bit for bit; a call that raises
-keeps nothing. Two threads racing on one record may both build a result;
-they keep equal ones.
+IRF stacks kept on it. Two threads racing on one frame may both build a
+result; they keep equal ones.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -156,33 +149,31 @@ def _split(xy: np.ndarray, n_vars: int) -> list[np.ndarray]:
     return np.hsplit(xy, [n_z2, n_z2 + n_vars])
 
 
-class _Search(NamedTuple):
-    """A lag search that succeeded: its frame (held, so its identity stays
-    its own), its max_lag and the read-only R of its design
-    [1 | X_{t-1} .. X_{t-max_lag} | X_t]."""
-
-    frame: Frame
-    max_lag: int
-    r: np.ndarray
-
-
-# The last lag search that succeeded, kept by ``_keep_search`` for
-# ``_concentrate``; None before the first.
-_searched: _Search | None = None
+# The work shared by calls on one frame object: id of the frame -> the frame
+# (held, so no other object takes its id while kept) and its dict, oldest
+# first. The dict keys a concentration by its lag order k, a fit by (k, r),
+# the lag search's (max_lag, R) by "search", and the shock pipeline's
+# factor-free stages by their scenario key.
+_KEPT_FRAMES = 2
+_kept = {}
+_kept_lock = threading.Lock()
 
 
-def _keep_search(frame: Frame, max_lag: int, r: np.ndarray) -> None:
-    """Keep a lag search's factor in place of the last one."""
-    global _searched
-    _searched = _Search(frame, max_lag, r)
+def _shared(frame: Frame) -> dict:
+    """The dict of work shared by calls on ``frame``, the object: empty at
+    its first use, and dropped once ``_KEPT_FRAMES`` other frame objects
+    have been used since its last."""
+    with _kept_lock:
+        entry = _kept.pop(id(frame), (frame, {}))
+        _kept[id(frame)] = entry
+        if len(_kept) > _KEPT_FRAMES:
+            del _kept[next(iter(_kept))]
+    return entry[1]
 
 
 class _Concentration(NamedTuple):
     """The eigen step of the rank test, the array it came from and that
-    array's factor; every array is read-only. ``fits`` holds the result of
-    ``fit_vecm`` per rank, filled by its first successful call: a fit
-    depends only on this record and the frame's content, which the memo
-    key fixes."""
+    array's factor; every array is read-only."""
 
     eigenvalues: np.ndarray  # (K,), descending, clipped to [0, 1)
     log_complements: np.ndarray  # (K,), ln(1 - lambda_i), aligned
@@ -190,7 +181,6 @@ class _Concentration(NamedTuple):
     t_eff: int
     xy: np.ndarray  # [z2 | z0 | z1], T_eff x (1 + K (k + 1))
     r: np.ndarray  # R of xy
-    fits: dict[int, VecmFit]
 
 
 def _concentrate(frame: Frame, k: int) -> _Concentration:
@@ -216,11 +206,12 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
     Cholesky pivot test of S00 or S11, raises ``SingularDesignError``
     naming i.
 
-    R has two sources. After a lag search of this frame object up to lag
-    p >= k, it is read off the search's kept factor: the search factored
-    L = [1 | X_{t-1} .. X_{t-p} | X_t] = Q R_L over rows t >= p, and
-    ``_vecm_columns`` maps columns alone, so it takes L to [z2 | z0 | z1]'s
-    rows t >= p and R_L to Q' times them, with the same Gram matrix.
+    R has two sources. When the frame object's shared work holds a lag
+    search up to lag p >= k, R is read off the search's kept factor: the
+    search factored L = [1 | X_{t-1} .. X_{t-p} | X_t] = Q R_L over rows
+    t >= p, and ``_vecm_columns`` maps columns alone, so it takes L to
+    [z2 | z0 | z1]'s rows t >= p and R_L to Q' times them, with the same
+    Gram matrix.
     Stacked on the p - k leading rows, which the search's sample leaves
     out, the mapped R_L has the Gram matrix of all of [z2 | z0 | z1], so
     one QR of that small array (at most 1 + K (p + 1) + p - k rows) gives
@@ -232,10 +223,9 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
     xy = _design(frame, k)
     t_eff = xy.shape[0]
     n_z2 = xy.shape[1] - 2 * n_vars
-    search = _searched
-    if search is not None and search.frame is frame and search.max_lag >= k:
-        p = search.max_lag
-        blocks = np.hsplit(search.r, range(1, 2 + n_vars * p, n_vars))
+    p, r_search = _shared(frame).get("search", (0, None))  # p = 0 < k: no search
+    if p >= k:
+        blocks = np.hsplit(r_search, range(1, 2 + n_vars * p, n_vars))
         stacked = np.vstack([_vecm_columns(blocks, k), xy[: p - k]])
         fit = OlsFit(xy, np.linalg.qr(stacked, mode="r"), n_z2)
     else:
@@ -250,9 +240,9 @@ def _concentrate(frame: Frame, k: int) -> _Concentration:
     sines_sq = np.maximum(np.sum((q1[n_vars:] @ vt.T) ** 2, axis=0), 1.0 - _EIGENVALUE_CEIL)
     logs = np.where(lam < 0.5, np.log1p(-lam), np.log(sines_sq))
     vectors = np.sqrt(t_eff) * np.linalg.solve(r1, vt.T)
-    for shared in (lam, logs, vectors):
-        shared.setflags(write=False)
-    return _Concentration(lam, logs, vectors, t_eff, xy, fit.augmented_r, {})
+    for array in (lam, logs, vectors):
+        array.setflags(write=False)
+    return _Concentration(lam, logs, vectors, t_eff, xy, fit.augmented_r)
 
 
 def _require_pivots(diag: np.ndarray, t_eff: int, name: str) -> None:
@@ -263,12 +253,13 @@ def _require_pivots(diag: np.ndarray, t_eff: int, name: str) -> None:
         raise SingularDesignError(f"{name} is singular (pivot {small[0]})")
 
 
-@lru_cache(maxsize=1)
 def _concentration(frame: Frame, k: int) -> _Concentration:
-    """``_concentrate`` memoized for the last (frame, k) only, keyed by the
-    frame's content, so the rank test and the fits on one panel share one
-    concentration. A call that raises caches nothing."""
-    return _concentrate(frame, k)
+    """``_concentrate`` kept per lag order in the frame's shared work, so the
+    rank test and the fits of one frame object share one concentration."""
+    shared = _shared(frame)
+    if k not in shared:
+        shared[k] = _concentrate(frame, k)
+    return shared[k]
 
 
 def johansen_trace(frame: Frame, k: int) -> JohansenResult:
@@ -373,7 +364,7 @@ def _first_independent_rows(beta: np.ndarray, r: int) -> tuple[int, ...]:
         return tuple(range(r))
     selected: list[int] = []
     for i in range(beta.shape[0]):
-        candidate = beta[selected + [i], :]
+        candidate = beta[selected + [i]]
         if np.linalg.matrix_rank(candidate) == len(selected) + 1:
             selected.append(i)
             if len(selected) == r:
@@ -393,10 +384,9 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
     R has) is a QR of [design | z0], and no T-row matrix is factored. R_z2
     is already triangular, so that QR leaves the z2 block as it is.
 
-    The fit is kept per rank on the concentration record it reads, so a
-    second call for an equal frame, k and r (while the memo holds that
-    concentration) returns the same ``VecmFit`` object; a raising call keeps
-    nothing.
+    The fit is kept in the frame's shared work, so a second call for the
+    same frame object, k and r returns the same ``VecmFit`` object while
+    the frame is kept; a raising call keeps nothing.
     """
     n_vars = frame.n_columns
     r = _as_count(r, "rank")
@@ -406,13 +396,14 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
             "Use a VAR in differences for r=0 or a levels VAR for r=K."
         )
     k = _as_count(k, "lag order", 1)
+    shared = _shared(frame)
+    if (k, r) in shared:
+        return shared[k, r]
     concentration = _concentration(frame, k)
-    if r in concentration.fits:
-        return concentration.fits[r]
     z2, z0, z1 = _split(concentration.xy, n_vars)
     beta_raw = concentration.eigenvectors[:, :r]
     pivot = _first_independent_rows(beta_raw, r)
-    beta = beta_raw @ np.linalg.inv(beta_raw[list(pivot), :])
+    beta = beta_raw @ np.linalg.inv(beta_raw[list(pivot)])
     beta[list(pivot)] = np.eye(r)  # exact, not identity to rounding
 
     # [1, dX lags, beta'X_{t-1} | dX_t], and the same columns in R's coordinates
@@ -438,10 +429,10 @@ def fit_vecm(frame: Frame, k: int, r: int) -> VecmFit:
         sigma=fit.sigma,
         sample_start=frame.start,
         n_sample=len(frame),
-        tail=frame.tail_rows(k),
+        tail=np.array(frame.values[-k:]),
         beta_pivot=pivot,
     )
-    concentration.fits[r] = vfit
+    shared[k, r] = vfit
     return vfit
 
 

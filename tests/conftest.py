@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vecmkit as vk
+from vecmkit import vecm
 
 
 def make_frame(values, start="2001Q1", names=None):
@@ -11,6 +12,11 @@ def make_frame(values, start="2001Q1", names=None):
     if names is None:
         names = tuple(f"x{i + 1}" for i in range(values.shape[1]))
     return vk.Frame(vk.parse_quarter(start), tuple(names), values)
+
+
+def twin(frame):
+    """An equal frame built apart, which shares no kept work with ``frame``."""
+    return vk.Frame(frame.start, frame.names, np.array(frame.values))
 
 
 def simulate_vecm(alpha, beta, gammas, const, noise_chol, t, rng, burn=60, x0=None):
@@ -124,3 +130,9 @@ def panel69():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def cold_start():
+    """Every test starts with no shared work kept on any frame."""
+    vecm._kept.clear()

@@ -664,7 +664,7 @@ class TestErrorReporting:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert json.loads(captured.err)["error"] == {
             "type": "PipelineStageError",
-            "message": "stage 3 failed: design matrix is rank deficient (column pivot 0) under "
+            "message": "stage 3 failed: design matrix is rank deficient (column pivot 1) under "
             "shock factor 1e+300: the target's shocked differences reach 8.81e+300, its "
             "in-sample ones 0.558",
         }

@@ -76,6 +76,30 @@ class TestOls:
         with pytest.raises(SingularDesignError):
             ols(rng.standard_normal((20, 1)), x)
 
+    def test_zero_column_is_rank_deficient(self, rng):
+        x = np.hstack([np.ones((20, 1)), np.zeros((20, 1))])
+        with pytest.raises(SingularDesignError, match=r"column pivot 1\)"):
+            ols(rng.standard_normal((20, 1)), x)
+
+    def test_pivot_weighed_against_its_own_column(self, rng):
+        """A constant beside columns 1e15 times larger is not deficient:
+        each pivot is compared with its own column's norm."""
+        x = np.hstack([np.ones((40, 1)), 1e15 * rng.standard_normal((40, 2))])
+        y = rng.standard_normal((40, 1))
+        fit = ols(y, x)
+        np.testing.assert_allclose(fit.coefficients, normal_equations_ols(y, x), rtol=1e-6)
+
+    def test_study_fits_at_scale_1e15(self, panel69):
+        """The study's estimators fit the test panel in units 1e15 times
+        larger, with the unscaled AIC pick and rank."""
+        scaled = vk.Frame(panel69.start, panel69.names, panel69.values * 1e15)
+        vk.adf_test(scaled.column("price"), 2)
+        vk.fit_var(scaled, 2)
+        vk.fit_vecm(scaled, 2, 2)
+        for frame in (panel69, scaled):
+            assert vk.lag_order_selection(frame, 4).selected["aic"] == 1
+            assert vk.select_rank(vk.johansen_trace(frame, 2)) == 1
+
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             ols(np.ones((3, 1)), np.ones((3, 3)))

@@ -139,12 +139,12 @@ class TestLoadFrame:
 
 
 class TestFrameEquality:
-    def test_equal_content_is_equal_and_hashes_alike(self, panel69):
+    def test_equal_content_is_equal(self, panel69):
         twin = Frame(panel69.start, panel69.names, np.array(panel69.values))
         assert twin is not panel69
         assert twin == panel69 and not twin != panel69
-        assert hash(twin) == hash(panel69)
-        assert len({twin, panel69}) == 1
+        with pytest.raises(TypeError):
+            hash(twin)
 
     @pytest.mark.parametrize("change", ["start", "names", "value"])
     def test_any_difference_is_unequal(self, panel69, change):
@@ -170,12 +170,12 @@ class TestSeriesEquality:
     def series(self, panel69):
         return panel69.series("price")
 
-    def test_equal_content_is_equal_and_hashes_alike(self, series):
+    def test_equal_content_is_equal(self, series):
         twin = Series(series.name, series.start, np.array(series.values))
         assert twin is not series
         assert twin == series and not twin != series
-        assert hash(twin) == hash(series)
-        assert len({twin, series}) == 1
+        with pytest.raises(TypeError):
+            hash(twin)
 
     @pytest.mark.parametrize("change", ["name", "start", "value"])
     def test_any_difference_is_unequal(self, series, change):

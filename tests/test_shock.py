@@ -21,21 +21,26 @@ from vecmkit.errors import (
 )
 
 from vecmkit.quarterly import first_difference
-from vecmkit.shock import _frame_stages
-from vecmkit import vecm
-from vecmkit.vecm import _concentration
+from vecmkit import shock
 
-from conftest import cointegrated_panel, make_frame, simulate_vecm
+from conftest import cointegrated_panel, make_frame, simulate_vecm, twin
 
 FACTORS = (1.00, 1.05, 1.10, 1.15, 1.20)
 
 
-def clear_memos():
-    """Cold start: forget the kept frame stages, the kept concentration and
-    the kept lag-search factor."""
-    _frame_stages.cache_clear()
-    _concentration.cache_clear()
-    vecm._searched = None
+@pytest.fixture()
+def stage_runs(monkeypatch):
+    """The frames whose shock-free stages ``_frame_stages`` computes, in
+    call order."""
+    calls = []
+    real = shock._frame_stages
+
+    def spy(frame, key):
+        calls.append(frame)
+        return real(frame, key)
+
+    monkeypatch.setattr(shock, "_frame_stages", spy)
+    return calls
 
 
 def scenario(frame, **overrides):
@@ -149,7 +154,6 @@ class TestRunThreeStage:
         )
 
     def test_determinism(self, panel69):
-        clear_memos()
         one = run_three_stage(panel69, scenario(panel69))
         two = run_three_stage(panel69, scenario(panel69))
         np.testing.assert_array_equal(
@@ -230,7 +234,7 @@ class TestRunThreeStage:
             run_three_stage(panel69, scenario(panel69, factor=1e300))
         assert err.value.stage == 3
         assert str(err.value) == (
-            "stage 3 failed: design matrix is rank deficient (column pivot 0) under shock "
+            "stage 3 failed: design matrix is rank deficient (column pivot 1) under shock "
             "factor 1e+300: the target's shocked differences reach 8.81e+300, its in-sample "
             "ones 0.558"
         )
@@ -269,29 +273,26 @@ class TestFrameStagesCache:
         [{}, {"stage2_lags": 2, "stage3_lags": 3}, {"stage2_lags": 3, "stage3_lags": 2, "exog_lags": 2}],
         ids=["aic", "explicit", "exog2"],
     )
-    def test_warm_grid_equals_cold_runs(self, panel69, factors, lags):
+    def test_warm_grid_equals_cold_runs(self, panel69, factors, lags, stage_runs):
         cold = {}
         for factor in factors:
-            clear_memos()
-            cold[factor] = run_three_stage(panel69, scenario(panel69, factor=factor, **lags))
-        clear_memos()
+            frame = twin(panel69)
+            cold[factor] = run_three_stage(frame, scenario(frame, factor=factor, **lags))
+        stage_runs.clear()
         for factor in factors:
             warm = run_three_stage(panel69, scenario(panel69, factor=factor, **lags))
             assert_bit_equal(warm, cold[factor])
-        info = _frame_stages.cache_info()
-        assert (info.hits, info.misses) == (len(factors) - 1, 1)
+        assert stage_runs == [panel69]
 
-    def test_equal_frame_is_a_hit(self, panel69):
-        twin = vk.Frame(panel69.start, panel69.names, np.array(panel69.values))
-        assert twin is not panel69
-        clear_memos()
+    def test_equal_frame_computes_afresh(self, panel69, stage_runs):
+        other = twin(panel69)
         first = run_three_stage(panel69, scenario(panel69))
-        second = run_three_stage(twin, scenario(twin))
-        assert _frame_stages.cache_info().hits == 1
+        second = run_three_stage(other, scenario(other))
+        assert stage_runs == [panel69, other]
         assert_bit_equal(second, first)
 
     @pytest.mark.parametrize("change", ["value", "start", "names"])
-    def test_changed_frame_is_a_miss(self, panel69, change):
+    def test_changed_frame_is_a_miss(self, panel69, change, stage_runs):
         start, names, values = panel69.start, panel69.names, np.array(panel69.values)
         if change == "value":
             values[30, 0] = np.nextafter(values[30, 0], np.inf)
@@ -300,27 +301,33 @@ class TestFrameStagesCache:
         else:
             names = (names[1], names[0], *names[2:])
         other = vk.Frame(start, names, values)
-        clear_memos()
         run_three_stage(panel69, scenario(panel69))
         warm = run_three_stage(other, scenario(other))
-        info = _frame_stages.cache_info()
-        assert (info.hits, info.misses) == (0, 2)
-        clear_memos()
-        assert_bit_equal(warm, run_three_stage(other, scenario(other)))
+        assert stage_runs == [panel69, other]
+        fresh = twin(other)
+        assert_bit_equal(warm, run_three_stage(fresh, scenario(fresh)))
 
-    def test_stage1_failure_raises_every_time(self, panel69):
+    def test_dropped_after_two_other_frames(self, panel69, stage_runs):
+        """Two frame objects are kept: a shock run of another panel uses it
+        and its first difference, so the first panel's stages go."""
+        first = run_three_stage(panel69, scenario(panel69))
+        run_three_stage(panel69, scenario(panel69))
+        other = cointegrated_panel(8)
+        run_three_stage(other, scenario(other))
+        again = run_three_stage(panel69, scenario(panel69))
+        assert stage_runs == [panel69, other, panel69]
+        assert_bit_equal(again, first)
+
+    def test_stage1_failure_raises_every_time(self, panel69, stage_runs):
         short = panel69.head(12)
         bad = scenario(short, vecm_lags=4, horizon=1, start=short.end.next())
-        clear_memos()
         for _ in range(2):
             with pytest.raises(PipelineStageError) as err:
                 run_three_stage(short, bad)
             assert err.value.stage == 1
-        info = _frame_stages.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+        assert stage_runs == [short, short]
 
     def test_explicit_lags_after_aic_run(self, panel69):
-        clear_memos()
         picked = run_three_stage(panel69, scenario(panel69))
         fixed = run_three_stage(panel69, scenario(panel69, stage2_lags=3, stage3_lags=2))
         assert picked.audit["lag_order_source"].startswith("aic")
@@ -347,16 +354,14 @@ class TestExogLags:
         fit2 = vk.fit_var(d_frame.drop(target), 3, exog=block, exog_lags=exog_lags)
         assert result.stage2_forecast == vk.forecast_var(fit2, 20, exog_path=path)
 
-    def test_stage2_failure_raises_every_time(self, panel69):
+    def test_stage2_failure_raises_every_time(self, panel69, stage_runs):
         # AIC picks p=1 on this panel, so exog_lags=2 fails only in stage 2
         bad = scenario(panel69, exog_lags=2, stage3_lags=2)
-        clear_memos()
         for _ in range(2):
             with pytest.raises(PipelineStageError) as err:
                 run_three_stage(panel69, bad)
             assert err.value.stage == 2
-        info = _frame_stages.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+        assert stage_runs == [panel69, panel69]
 
 
 class TestScenarioChecks:
@@ -366,11 +371,10 @@ class TestScenarioChecks:
 
     @pytest.mark.parametrize("name", ["stage2_lags", "stage3_lags"])
     @pytest.mark.parametrize("value", [0, -1])
-    def test_stage_lags_below_one_rejected_before_any_stage(self, panel69, name, value):
-        clear_memos()
+    def test_stage_lags_below_one_rejected_before_any_stage(self, panel69, name, value, stage_runs):
         with pytest.raises(DomainError, match=f"^{name} must be >= 1, got {value}$"):
             scenario(panel69, **{name: value})
-        assert _frame_stages.cache_info().misses == 0
+        assert stage_runs == []
 
     def test_exog_lags_above_stage2_lags(self, panel69):
         with pytest.raises(DomainError, match=r"exog_lags must be in 0\.\.1 \(stage2_lags\), got 3"):
@@ -448,9 +452,8 @@ def aic_margin(report) -> float:
 
 
 def study(frame):
-    """The paper's study on a cold start: rank test, lag search, and the
-    three-stage shock at factor 1.1, with the AIC picking stage lags."""
-    clear_memos()
+    """The paper's study: rank test, lag search, and the three-stage shock
+    at factor 1.1, with the AIC picking stage lags."""
     johansen = vk.johansen_trace(frame, 2)
     lags = vk.lag_order_selection(frame, 4)
     result = run_three_stage(frame, scenario(frame, factor=1.1))
@@ -492,3 +495,33 @@ class TestAffineEquivariance:
         assert close(result2.stage3_fit.sigma, result.stage3_fit.sigma * np.outer(c, c))
         for i, name in enumerate(frame.names):
             assert close(result2.irfs[name].values, result.irfs[name].values * c[i])
+
+
+class TestCholeskyGroupInvariance:
+    """The target's orthogonalized impulse is column j of the Cholesky
+    factor of sigma, which depends on the set of variables ordered before
+    the target, not on their order; the same holds for those after it. So
+    permuting the variables within either group only permutes the outputs:
+    stage-1 and stage-2 forecasts by column and the stage-3 IRFs to the
+    target by response name. Explicit stage lags keep an AIC tie from
+    flipping a pick."""
+
+    @given(seed=st.integers(0, 2**16), position=st.integers(1, 4), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_group_permutations_permute_the_outputs(self, seed, position, data):
+        frame = cointegrated_panel(seed)
+        target = "exchange_rate"
+        others = [n for n in frame.names if n != target]
+        before, after = others[:position], others[position:]
+        moved_before = data.draw(st.permutations(before), label="before")
+        moved_after = data.draw(st.permutations(after), label="after")
+        base = frame.select([*before, target, *after])
+        moved = frame.select([*moved_before, target, *moved_after])
+        lags = dict(factor=1.1, stage2_lags=2, stage3_lags=2)
+        want = run_three_stage(base, scenario(base, **lags))
+        got = run_three_stage(moved, scenario(moved, **lags))
+        for name in frame.names:
+            assert close(got.stage1_forecast.column(name), want.stage1_forecast.column(name))
+            assert close(got.irfs[name].values, want.irfs[name].values), name
+        for name in others:
+            assert close(got.stage2_forecast.column(name), want.stage2_forecast.column(name))

@@ -1,3 +1,5 @@
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -39,7 +41,7 @@ from vecmkit.vecm import (
     _split,
 )
 
-from conftest import make_frame, simulate_vecm, well_specified_vecm_fit
+from conftest import cointegrated_panel, make_frame, simulate_vecm, twin, well_specified_vecm_fit
 
 TABLE_EIGENVALUES = np.array([0.743, 0.454, 0.283, 0.128, 0.121, 0.002])
 TABLE_TRACE = np.array([171.843, 80.713, 40.169, 17.907, 8.761, 0.137])
@@ -84,8 +86,6 @@ class TestTraceStatistics:
         design), where log1p(-lambda_1) puts the first 2.2e-12 off."""
         reference = (92.45505175571844679976116, 0.0003982457790337177737647645)
         frame = random_walk(2567, 10, 2)
-        vecm._searched = None
-        _concentration.cache_clear()
         result = johansen_trace(frame, 2)
         assert 1 - result.eigenvalues[0] < 1e-5
         for got, want in zip(result.trace_stats, reference, strict=True):
@@ -118,13 +118,12 @@ class TestCriticalValues:
         calls = []
         real = vecm._concentrate
         monkeypatch.setattr(vecm, "_concentrate", lambda f, k: calls.append(k) or real(f, k))
-        _concentration.cache_clear()
         for rows in (69, 10):
             frame = make_frame(np.cumsum(rng.standard_normal((rows, 13)), axis=0))
             with pytest.raises(vk.DomainError, match="K - r = 13; table covers 1..12"):
                 johansen_trace(frame, 2)
         assert calls == []
-        assert _concentration.cache_info().currsize == 0
+        assert vecm._kept == {}
 
 
 class TestSelectRank:
@@ -333,7 +332,6 @@ class TestConcentrationErrors:
         frame = make_frame(x)
         z2 = _split(_design(frame, k), frame.n_columns)[0]
         assert np.linalg.matrix_rank(z2) == z2.shape[1]
-        _concentration.cache_clear()
         with pytest.raises(SingularDesignError, match=match):
             johansen_trace(frame, k)
         with pytest.raises(SingularDesignError, match=match):
@@ -382,7 +380,6 @@ class TestCovarianceOnlyCallers:
 
             monkeypatch.setattr(OlsFit, name, property(spy))
         residuals = np.diff(panel69.values, axis=0)
-        _concentration.cache_clear()
         lag_order_selection(panel69, 4)
         for lag in (1, 2):
             lm_autocorrelation(residuals, lag)
@@ -393,35 +390,45 @@ class TestCovarianceOnlyCallers:
         assert set(computed) == {"coefficients", "residuals"}
 
 
+@pytest.fixture()
+def concentrations(monkeypatch):
+    """The (frame, k) of each call of ``_concentrate``, in call order."""
+    calls = []
+    real = vecm._concentrate
+
+    def spy(frame, k):
+        calls.append((frame, k))
+        return real(frame, k)
+
+    monkeypatch.setattr(vecm, "_concentrate", spy)
+    return calls
+
+
 class TestConcentrationMemo:
-    def test_warm_equals_cold(self, panel69):
+    def test_warm_equals_cold(self, panel69, concentrations):
         cold = {}
         for k in (1, 2, 3):
-            _concentration.cache_clear()
-            trace = johansen_trace(panel69, k)
-            _concentration.cache_clear()
-            cold[k] = trace, fit_fields(fit_vecm(panel69, k, 2))
+            trace = johansen_trace(twin(panel69), k)
+            cold[k] = trace, fit_fields(fit_vecm(twin(panel69), k, 2))
+        concentrations.clear()
         for k in (1, 2, 3):
-            _concentration.cache_clear()
             trace = johansen_trace(panel69, k)
             warm = fit_fields(fit_vecm(panel69, k, 2))
-            assert _concentration.cache_info().hits == 1
             assert trace.eigenvalues.tobytes() == cold[k][0].eigenvalues.tobytes()
             assert trace.trace_stats.tobytes() == cold[k][0].trace_stats.tobytes()
             assert trace.t_eff == cold[k][0].t_eff
             assert warm == cold[k][1]
+        assert concentrations == [(panel69, 1), (panel69, 2), (panel69, 3)]
 
-    def test_equal_frame_is_a_hit(self, panel69):
-        twin = vk.Frame(panel69.start, panel69.names, np.array(panel69.values))
-        assert twin is not panel69
-        _concentration.cache_clear()
+    def test_equal_frame_computes_afresh(self, panel69, concentrations):
+        other = twin(panel69)
         johansen_trace(panel69, 2)
-        fit_vecm(twin, 2, 2)
-        info = _concentration.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        fit = fit_vecm(other, 2, 2)
+        assert concentrations == [(panel69, 2), (other, 2)]
+        assert fit_fields(fit) == fit_fields(fit_vecm(panel69, 2, 2))
 
     @pytest.mark.parametrize("change", ["value", "start", "names", "lags"])
-    def test_changed_key_is_a_miss(self, panel69, change):
+    def test_changed_key_is_a_miss(self, panel69, change, concentrations):
         start, names, values, k = panel69.start, panel69.names, np.array(panel69.values), 2
         if change == "value":
             values[30, 0] = np.nextafter(values[30, 0], np.inf)
@@ -432,36 +439,83 @@ class TestConcentrationMemo:
         else:
             k = 3
         other = vk.Frame(start, names, values)
-        _concentration.cache_clear()
         johansen_trace(panel69, 2)
         warm = johansen_trace(other, k)
-        info = _concentration.cache_info()
-        assert (info.hits, info.misses) == (0, 2)
-        _concentration.cache_clear()
-        assert warm.eigenvalues.tobytes() == johansen_trace(other, k).eigenvalues.tobytes()
+        assert concentrations == [(panel69, 2), (other, k)]
+        assert warm.eigenvalues.tobytes() == johansen_trace(twin(other), k).eigenvalues.tobytes()
 
-    def test_raising_call_caches_nothing(self):
+    def test_raising_call_caches_nothing(self, concentrations):
         short = make_frame(np.arange(20.0).reshape(10, 2) ** 1.1)
-        _concentration.cache_clear()
         for _ in range(2):
             with pytest.raises(InsufficientDataError):
                 johansen_trace(short, 5)
-        info = _concentration.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+        assert concentrations == [(short, 5), (short, 5)]
+        assert vecm._shared(short) == {}
+
+    def test_dropped_after_two_other_frames(self, panel69, concentrations):
+        first = johansen_trace(panel69, 2)
+        johansen_trace(panel69.head(60), 2)
+        johansen_trace(panel69, 2)  # one other frame since: kept
+        johansen_trace(panel69.head(60), 2)
+        johansen_trace(panel69.head(50), 2)
+        again = johansen_trace(panel69, 2)  # two others since: dropped
+        assert [k for frame, k in concentrations if frame is panel69] == [2, 2]
+        assert len(concentrations) == 5
+        assert again.trace_stats.tobytes() == first.trace_stats.tobytes()
+
+    def test_threads_share_the_memo_safely(self, panel69):
+        """More threads than cores, switching often, on three frame objects:
+        no call raises, every result equals a cold one, and two frames stay
+        kept."""
+        frames = [panel69, panel69.head(60), panel69.head(50)]
+        want = [johansen_trace(twin(f), 2).trace_stats.tobytes() for f in frames]
+        vecm._kept.clear()
+        results, errors = [], []
+
+        def work(start):
+            try:
+                for n in range(20):
+                    j = (start + n) % 3
+                    results.append((j, johansen_trace(frames[j], 2).trace_stats.tobytes()))
+            except Exception as exc:  # recorded, then asserted absent below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 120 and all(got == want[j] for j, got in results)
+        assert len(vecm._kept) == 2
+
+    def test_call_history_does_not_move_a_kept_result(self, panel69):
+        """A lag search and another frame's rank test between two rank
+        tests of one frame leave the second equal to the first bit for bit:
+        the first's concentration stays kept with its frame."""
+        first = johansen_trace(panel69, 4)
+        lag_order_selection(panel69, 6)
+        johansen_trace(cointegrated_panel(8), 4)
+        again = johansen_trace(panel69, 4)
+        assert again.trace_stats.tobytes() == first.trace_stats.tobytes()
+        assert again.eigenvalues.tobytes() == first.eigenvalues.tobytes()
 
     def test_fit_is_kept_per_rank(self, panel69):
-        """A second fit of an equal frame at the same k and r returns the
-        kept fit, bit for bit what a cold fit gives; another rank or k
-        fits afresh."""
-        cold = {}
-        for r in (1, 2):
-            _concentration.cache_clear()
-            cold[r] = fit_fields(fit_vecm(panel69, 2, r))
-        _concentration.cache_clear()
+        """A second fit of the same frame object at the same k and r returns
+        the kept fit, bit for bit what a cold fit gives; another rank or k,
+        or an equal frame built apart, fits afresh."""
+        cold = {r: fit_fields(fit_vecm(twin(panel69), 2, r)) for r in (1, 2)}
         first = fit_vecm(panel69, 2, 2)
-        twin = vk.Frame(panel69.start, panel69.names, np.array(panel69.values))
-        assert fit_vecm(twin, 2, 2) is first
+        assert fit_vecm(panel69, 2, 2) is first
         assert fit_fields(first) == cold[2]
+        again = fit_vecm(twin(panel69), 2, 2)
+        assert again is not first and fit_fields(again) == cold[2]
         other = fit_vecm(panel69, 2, 1)
         assert other is not first and fit_fields(other) == cold[1]
         assert fit_vecm(panel69, 2, 1) is other
@@ -471,19 +525,17 @@ class TestConcentrationMemo:
         def fail(beta, r):
             raise SingularDesignError("cointegrating vectors do not have full column rank")
 
-        _concentration.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(vecm, "_first_independent_rows", fail)
             for _ in range(2):
                 with pytest.raises(SingularDesignError):
                     fit_vecm(panel69, 2, 2)
-            assert _concentration(panel69, 2).fits == {}
+            assert list(vecm._shared(panel69)) == [2]  # the concentration only
         fit = fit_vecm(panel69, 2, 2)
-        kept = _concentration(panel69, 2).fits
-        assert list(kept) == [2] and kept[2] is fit
+        assert list(vecm._shared(panel69)) == [2, (2, 2)]
+        assert fit_vecm(panel69, 2, 2) is fit
 
     def test_cached_arrays_are_read_only(self, panel69):
-        _concentration.cache_clear()
         trace = johansen_trace(panel69, 2)
         record = _concentration(panel69, 2)
         arrays = (record.eigenvalues, record.eigenvectors, record.xy, record.r, trace.eigenvalues)
@@ -501,13 +553,13 @@ def random_walk(seed, t, n_vars):
 
 
 class TestSharedFactor:
-    """After a lag search of the same frame with max_lag >= k, the rank test
-    and the fits read R off the search's kept factor instead of factoring
-    [z2 | z0 | z1]; results agree with the cold path to rounding."""
+    """After a lag search of the same frame object with max_lag >= k, the
+    rank test and the fits read R off the search's kept factor instead of
+    factoring [z2 | z0 | z1]; results agree with the cold path, run on an
+    equal frame built apart, to rounding."""
 
     @staticmethod
     def rank_test_and_fits(frame, k):
-        _concentration.cache_clear()
         trace = johansen_trace(frame, k)
         return trace, [fit_vecm(frame, k, r) for r in range(1, frame.n_columns)]
 
@@ -534,8 +586,7 @@ class TestSharedFactor:
         max_lag = k + extra_lags
         t_min = (n_vars + 1) * max_lag + n_vars + 2
         frame = random_walk(seed, data.draw(st.integers(t_min, 200), label="T"), n_vars)
-        vecm._searched = None
-        cold_trace, cold_fits = self.rank_test_and_fits(frame, k)
+        cold_trace, cold_fits = self.rank_test_and_fits(twin(frame), k)
         lag_order_selection(frame, max_lag)
         with mock.patch.object(vecm, "_factor", wraps=vecm._factor) as factor:
             trace, fits = self.rank_test_and_fits(frame, k)
@@ -564,12 +615,11 @@ class TestSharedFactor:
         the first example; near 0, one ulp of 1 is a large part of lambda,
         and the second example's only statistic is 1.1e-3."""
         frame = random_walk(seed, t, n_vars)
-        vecm._searched = None
-        cold, _ = self.rank_test_and_fits(frame, k)
+        cold, _ = self.rank_test_and_fits(twin(frame), k)
         lam = cold.eigenvalues[0] if corner == "zero" else 1 - cold.eigenvalues[0]
         assert lam < 1e-4
         lag_order_selection(frame, k)
-        assert vecm._searched.frame is frame
+        assert "search" in vecm._shared(frame)
         shared, _ = self.rank_test_and_fits(frame, k)
         assert np.abs(shared.eigenvalues - cold.eigenvalues).max() <= 8 * np.finfo(float).eps
         assert select_rank(shared) == select_rank(cold)
@@ -582,11 +632,10 @@ class TestSharedFactor:
         residuals and sigma do not depend on the normalization, and they
         agree to rounding."""
         frame = random_walk(17504, 88, 2)
-        vecm._searched = None
-        _, [cold] = self.rank_test_and_fits(frame, 1)
+        _, [cold] = self.rank_test_and_fits(twin(frame), 1)
         assert np.abs(cold.beta).max() > 1e4
         lag_order_selection(frame, 1)
-        assert vecm._searched.frame is frame
+        assert "search" in vecm._shared(frame)
         _, [shared] = self.rank_test_and_fits(frame, 1)
         for name in ("pi", "const", "residuals", "sigma"):
             got, want = getattr(shared, name), getattr(cold, name)
@@ -594,8 +643,7 @@ class TestSharedFactor:
 
     @pytest.fixture()
     def fresh_factors(self, monkeypatch):
-        """Shapes of the designs the concentration factors itself, from an
-        empty search slot and concentration memo."""
+        """Shapes of the designs the concentration factors itself."""
         calls = []
         real = vecm._factor
 
@@ -604,17 +652,14 @@ class TestSharedFactor:
             return real(xy, n_x)
 
         monkeypatch.setattr(vecm, "_factor", spy)
-        monkeypatch.setattr(vecm, "_searched", None)
-        _concentration.cache_clear()
         return calls
 
     def test_not_taken_for_an_equal_copy(self, panel69, fresh_factors):
-        """The slot is keyed by identity: an equal frame built apart, as a
-        CLI run loads its own, is factored cold."""
+        """An equal frame built apart, as a CLI run loads its own, is
+        factored cold."""
         lag_order_selection(panel69, 4)
-        twin = vk.Frame(panel69.start, panel69.names, np.array(panel69.values))
-        johansen_trace(twin, 2)
-        fit_vecm(panel69, 2, 2)  # the concentration's memo is keyed by content
+        johansen_trace(twin(panel69), 2)
+        fit_vecm(panel69, 2, 2)  # reads the search's factor
         assert fresh_factors == [(67, 19)]
 
     def test_not_taken_for_another_frame(self, panel69, fresh_factors):
@@ -633,16 +678,16 @@ class TestSharedFactor:
         frame = random_walk(3, 8, 2)
         with pytest.raises(DegenerateInputError):
             lag_order_selection(frame, 2)
-        assert vecm._searched is None
+        assert "search" not in vecm._shared(frame)
         johansen_trace(frame, 1)
         assert fresh_factors == [(7, 5)]
 
     def test_kept_factor_is_read_only(self, panel69, fresh_factors):
         lag_order_selection(panel69, 4)
-        kept = vecm._searched
-        assert kept.frame is panel69 and kept.max_lag == 4 and kept.r.shape == (31, 31)
+        max_lag, r = vecm._shared(panel69)["search"]
+        assert max_lag == 4 and r.shape == (31, 31)
         with pytest.raises(ValueError):
-            kept.r[0, 0] = 1.0
+            r[0, 0] = 1.0
 
 
 class TestFitVecm:
@@ -765,8 +810,6 @@ class TestFitVecm:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", spy)
-        monkeypatch.setattr(vecm, "_searched", None)
-        _concentration.cache_clear()
         if warm:
             johansen_trace(panel69, 2)
         fit_vecm(panel69, 2, 2)
@@ -776,8 +819,6 @@ class TestFitVecm:
     def test_no_panel_length_qr_after_a_lag_search(self, panel69, monkeypatch):
         """After a lag search of the panel, the rank test and the fit factor
         no panel-length matrix: R comes off the search's kept factor."""
-        monkeypatch.setattr(vecm, "_searched", None)
-        _concentration.cache_clear()
         lag_order_selection(panel69, 4)
         calls = []
         real = np.linalg.qr

@@ -10,7 +10,10 @@ implied by the maximum lag, per-observation:
     SBIC = (-2 LL + m ln T_eff) / T_eff
     FPE  = ((T_eff + m~) / (T_eff - m~))^K |Sigma|,   m~ = K j + 1
 
-with LL the Gaussian log likelihood under the ML covariance divisor. The
+with LL the Gaussian log likelihood under the ML covariance divisor. FPE is
+picked by its logarithm, K ln((T_eff + m~) / (T_eff - m~)) + ln |Sigma|, so
+the pick stands at any data scale; a row's FPE is None where it is not a
+positive finite float (|Sigma| overflows or underflows it). The
 VAR(j) designs are nested, [1, lags 1..j] being the leading columns of the
 max-lag design, so every lag's fit comes from one QR of the max-lag design,
 and the log-determinants of all their covariances from one stacked Cholesky.
@@ -46,7 +49,7 @@ class LagCriteriaRow:
     lr: float | None
     lr_df: int | None
     lr_p: float | None
-    fpe: float
+    fpe: float | None
     aic: float
     hqic: float
     sbic: float
@@ -64,8 +67,10 @@ class LagSelectionReport:
 
 def information_criteria(
     log_likelihood: float, lag: int, n_vars: int, t_eff: int
-) -> dict[str, float]:
-    """Per-observation AIC/HQIC/SBIC plus FPE from one VAR(j) log likelihood.
+) -> dict[str, float | None]:
+    """Per-observation AIC/HQIC/SBIC plus FPE and its logarithm from one
+    VAR(j) log likelihood; FPE is None where it is not a positive finite
+    float.
 
     |Sigma| is recovered from the likelihood itself, so the values depend
     only on (LL, j, K, T_eff).
@@ -73,12 +78,18 @@ def information_criteria(
     m = n_vars * (n_vars * lag + 1)
     mbar = n_vars * lag + 1
     lnt = math.log(t_eff)
+    ratio = (t_eff + mbar) / (t_eff - mbar)
     log_det_sigma = -2.0 * log_likelihood / t_eff - n_vars * (LOG_2PI + 1.0)
+    try:
+        fpe = ratio**n_vars * math.exp(log_det_sigma)
+    except OverflowError:
+        fpe = math.inf
     return {
         "aic": (-2.0 * log_likelihood + 2.0 * m) / t_eff,
         "hqic": (-2.0 * log_likelihood + 2.0 * m * math.log(lnt)) / t_eff,
         "sbic": (-2.0 * log_likelihood + m * lnt) / t_eff,
-        "fpe": ((t_eff + mbar) / (t_eff - mbar)) ** n_vars * math.exp(log_det_sigma),
+        "fpe": fpe if 0.0 < fpe < math.inf else None,
+        "log_fpe": n_vars * math.log(ratio) + log_det_sigma,
     }
 
 
@@ -107,9 +118,11 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
     lls = widest.log_likelihoods([1 + k * j for j in range(max_lag + 1)]).tolist()
 
     rows: list[LagCriteriaRow] = []
+    log_fpes: list[float] = []
     prev_ll: float | None = None
     for j, ll in enumerate(lls):
         crit = information_criteria(ll, j, k, t_eff)
+        log_fpes.append(crit["log_fpe"])
         if j == 0:
             lr = lr_df = lr_p = None
         else:
@@ -135,7 +148,7 @@ def lag_order_selection(frame: Frame, max_lag: int) -> LagSelectionReport:
         "aic": argmin("aic"),
         "hqic": argmin("hqic"),
         "sbic": argmin("sbic"),
-        "fpe": argmin("fpe"),
+        "fpe": log_fpes.index(min(log_fpes)),
         "lr": lr_pick,
     }
     _shared(frame)["search"] = max_lag, widest.augmented_r

@@ -214,6 +214,22 @@ class TestStdout:
             assert marked == ([] if lag is None else [lag]), criterion
         assert not any(c.endswith("*") for row in rows for c in row[:2] + row[3:5])
 
+    def test_lagselect_fpe_beyond_float_range(self, tmp_path, capsys):
+        """In units 1e30 times larger every FPE overflows: it is blank in the
+        table and the CSV and null in the JSON, and still picked by its
+        logarithm, as on the unscaled panel."""
+        panel = cointegrated_panel()
+        big = vk.Frame(panel.start, panel.names, panel.values * 1e30)
+        dataset = vk.write_frame(big, tmp_path / "big.csv")
+        out, [(_, header, rows)] = self.run(dataset, tmp_path, capsys, "lagselect", "--max-lag", "4")
+        column = header.index("FPE")
+        assert [row[column] for row in rows] == ["", "*", "", "", ""]
+        csv_header, expected = read_csv(out / "lagselect.csv")
+        assert {row[csv_header.index("fpe")] for row in expected} == {""}
+        payload = json.loads((out / "lagselect.json").read_text())
+        assert [r["fpe"] for r in payload["rows"]] == [None] * 5
+        assert payload["selected"]["fpe"] == vk.lag_order_selection(panel, 4).selected["fpe"] == 1
+
     def test_describe(self, dataset, tmp_path, capsys):
         out, [(title, header, rows)] = self.run(dataset, tmp_path, capsys, "describe")
         assert title == "Summary statistics (2001Q1..2018Q1)"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import vecmkit as vk
@@ -89,16 +89,25 @@ class TestOls:
         fit = ols(y, x)
         np.testing.assert_allclose(fit.coefficients, normal_equations_ols(y, x), rtol=1e-6)
 
-    def test_study_fits_at_scale_1e15(self, panel69):
-        """The study's estimators fit the test panel in units 1e15 times
-        larger, with the unscaled AIC pick and rank."""
-        scaled = vk.Frame(panel69.start, panel69.names, panel69.values * 1e15)
+    @pytest.mark.parametrize("scale", [1e15, 3e26, 1e30, 1e100], ids=str)
+    def test_study_fits_at_scale(self, panel69, scale):
+        """The study's estimators fit the test panel in much larger units,
+        with the unscaled lag picks, rank and AIC stage-3 lag; from 3e26 on
+        FPE is beyond float range, so the search picks it by its logarithm."""
+        scaled = vk.Frame(panel69.start, panel69.names, panel69.values * scale)
         vk.adf_test(scaled.column("price"), 2)
         vk.fit_var(scaled, 2)
         vk.fit_vecm(scaled, 2, 2)
-        for frame in (panel69, scaled):
-            assert vk.lag_order_selection(frame, 4).selected["aic"] == 1
-            assert vk.select_rank(vk.johansen_trace(frame, 2)) == 1
+        scenario = vk.ShockScenario("exchange_rate", 1.15, panel69.end.next())
+        picks = [
+            (
+                vk.lag_order_selection(frame, 4).selected,
+                vk.select_rank(vk.johansen_trace(frame, 2)),
+                vk.run_three_stage(frame, scenario).audit["stage3"]["lag_order"],
+            )
+            for frame in (panel69, scaled)
+        ]
+        assert picks[1] == picks[0]
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
@@ -434,6 +443,24 @@ class TestChiSquareSf:
         xs = np.linspace(0.0, 120.0, 60)
         values = [chi_square_sf(x, df) for x in xs]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_never_rises_on_a_dense_grid(self):
+        """Near Q = 1 the tail is 1 - P: a downward sum of Q there rises
+        and passes 1 at ulp level, which a coarse grid misses."""
+        for df in range(1, 145):
+            xs = np.linspace(0.0, 4.0 * df + 100.0, 4000).tolist()
+            values = [chi_square_sf(x, df) for x in xs]
+            assert values[0] == 1.0
+            assert all(a >= b for a, b in zip(values, values[1:])), df
+
+    @given(df=st.integers(1, 300), deviate=st.floats(-5.0, 5.0))
+    def test_relative_error_against_scipy(self, df, deviate):
+        """x = df e^(0.7 deviate): a lognormal spread about the mean, with
+        the tail kept where it is at least 1e-290."""
+        x = df * math.exp(0.7 * deviate)
+        expected = float(scipy.stats.chi2.sf(x, df))
+        assume(expected >= 1e-290)
+        assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_against_scipy_grid(self):
         for df in (1, 2, 5, 12, 36, 100):

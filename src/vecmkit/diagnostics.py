@@ -73,10 +73,16 @@ def information_criteria(
     float.
 
     |Sigma| is recovered from the likelihood itself, so the values depend
-    only on (LL, j, K, T_eff).
+    only on (LL, j, K, T_eff). T_eff must exceed K j + 1, as in the lag
+    search, or ``InsufficientDataError`` is raised.
     """
-    m = n_vars * (n_vars * lag + 1)
+    lag = _as_count(lag, "lag", 0)
+    n_vars = _as_count(n_vars, "n_vars", 1)
+    t_eff = _as_count(t_eff, "t_eff", 1)
     mbar = n_vars * lag + 1
+    if t_eff <= mbar:
+        raise InsufficientDataError(f"t_eff must exceed n_vars * lag + 1 = {mbar}, got {t_eff}")
+    m = n_vars * mbar
     lnt = math.log(t_eff)
     ratio = (t_eff + mbar) / (t_eff - mbar)
     log_det_sigma = -2.0 * log_likelihood / t_eff - n_vars * (LOG_2PI + 1.0)
@@ -278,16 +284,12 @@ def normality_suite(
     n_eff: int | None = None,
     names: tuple[str, ...] | None = None,
 ) -> NormalityReport:
-    """Skewness/kurtosis/Jarque-Bera per equation on residuals that are
-    centered then orthogonalized through the Cholesky factor of their ML
+    """Skewness/kurtosis/Jarque-Bera per equation on T x K residuals that
+    are centered then orthogonalized through the Cholesky factor of their ML
     covariance; the joint statistics sum across the K equations, on K
     degrees of freedom (2K for JB). ``names``, when given, holds one label
     per residual column, and ``n_eff`` must be a whole number."""
-    u = _as_finite(residuals, "residuals", ndim=1, stacked=True)
-    if u.ndim == 1:
-        u = u.reshape(-1, 1)
-    elif u.ndim > 2:
-        raise DomainError(f"residuals must be T x K, got shape {u.shape}")
+    u = _as_finite(residuals, "residuals")
     t, k = u.shape
     n = t if n_eff is None else _as_count(n_eff, "n_eff")
     if n < 8:

@@ -1,19 +1,16 @@
-"""Every artifact format used by the CLI: the JSON codec of result records,
-the quarter-labelled CSV layout of frames (``write_frame``) and the two
-text-table primitives, ``sig6`` and ``format_table``. Which table shows
+"""Every artifact format used by the CLI: the JSON encoding of result
+records, the quarter-labelled CSV layout of frames (``write_frame``) and the
+two text-table primitives, ``sig6`` and ``format_table``. Which table shows
 which columns, under which title and with which marks, is laid out in
 ``cli`` next to the CSV rows each table is printed from; no result record
 formats itself.
 
-The codec has one function each way. ``to_jsonable`` encodes any record by
-its fields, so a record's field names are its artifact's keys, and
-``from_jsonable(cls, payload)`` decodes a payload back into ``cls`` field
-by field from the annotations, so a fit reloaded from its artifact
-forecasts bit for bit as the original. Only ``cli`` encodes; the estimation
-modules import nothing from here.
+One encoder, ``to_jsonable``, encodes any record by its fields, so a
+record's field names are its artifact's keys. Only ``cli`` encodes; the
+estimation modules import nothing from here.
 
 Text tables print numbers at 6 significant digits; JSON and CSV artifacts
-keep full precision so downstream stages can reload models bit-exactly.
+keep full precision.
 """
 
 from __future__ import annotations
@@ -23,12 +20,11 @@ import json
 import math
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import _as_finite
-from .quarterly import QUARTER_COLUMN, Frame, QuarterIndex, parse_quarter
+from .quarterly import QUARTER_COLUMN, Frame, QuarterIndex
 
 
 def sig6(x: float) -> str:
@@ -81,32 +77,6 @@ def to_jsonable(value):
         return {k: to_jsonable(v) for k, v in value.items()}
     if is_dataclass(value):
         return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
-    return value
-
-
-def from_jsonable(cls, payload: dict):
-    """The record of class ``cls`` that ``to_jsonable`` encoded as
-    ``payload``. Each field is decoded by its annotation: an array, a tuple
-    (of arrays or of plain values), a quarter, or an Optional of one of
-    these; any other field is taken as JSON gives it. Keys that are not
-    fields are ignored. An array that is not numeric or not finite raises
-    ``DomainError``, as every array from outside does."""
-    hints = get_type_hints(cls)
-    return cls(**{f.name: _decode(hints[f.name], payload[f.name]) for f in fields(cls)})
-
-
-def _decode(kind, value):
-    if value is None:
-        return None
-    args = get_args(kind)
-    if type(None) in args:  # X | None
-        return _decode(next(a for a in args if a is not type(None)), value)
-    if kind is np.ndarray:
-        return _as_finite(value, "artifact array", ndim=0, stacked=True)  # any shape
-    if kind is QuarterIndex:
-        return parse_quarter(value)
-    if get_origin(kind) is tuple:
-        return tuple(_decode(args[0], v) for v in value)
     return value
 
 

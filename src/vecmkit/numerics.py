@@ -49,10 +49,10 @@ no iteration cap.
 
 Every array from outside the program comes in through one converter,
 ``_as_finite``: the public functions here, the residual diagnostics, the
-ADF test, the trace statistics and the artifact decoder all take their
-array arguments through it, so non-numeric, non-finite or misshapen input
-raises ``DomainError`` naming the argument. (``quarterly``'s frames keep
-their own ``NonNumericCellError`` family, raised by the same one cast,
+ADF test and the trace statistics all take their array arguments through
+it, so non-numeric, non-finite or misshapen input raises ``DomainError``
+naming the argument. (``quarterly``'s frames keep their own
+``NonNumericCellError`` family, raised by the same one cast,
 ``_float_array``.) Every count from outside (a lag order, a horizon, a
 rank) comes in through ``_as_count``, so a fraction, a string or None
 raises ``DomainError`` naming it rather than numpy's or Python's own error.

@@ -323,8 +323,11 @@ def proxy_quarterly_output(
         year = q.year
         if year not in region_annual or year not in nation_annual:
             raise DomainError(f"no annual value for year {year}")
-        region = float(region_annual[year])
-        nation = float(nation_annual[year])
+        try:
+            region = float(region_annual[year])
+            nation = float(nation_annual[year])
+        except (TypeError, ValueError):
+            raise DomainError(f"annual values must be real numbers (year {year})") from None
         if region <= 0 or nation <= 0:
             raise DomainError(f"annual values must be positive (year {year})")
         out[i] = us_quarterly.values[i] * (region / nation)

@@ -98,9 +98,11 @@ class ShockScenario:
     exog_lags: int = 0
 
     def __post_init__(self) -> None:
-        """Check the factor and every count before any stage runs; a whole
-        float such as 2.0 is kept as the int 2."""
+        """Check the factor, the start and every count before any stage
+        runs; a whole float such as 2.0 is kept as the int 2."""
         _require_factor(self.factor)
+        if not isinstance(self.start, QuarterIndex):
+            raise DomainError(f"start must be a QuarterIndex, got {self.start!r}")
         for name, minimum in _COUNT_MINIMUMS.items():
             value = getattr(self, name)
             # a stage lag order left None is picked by the AIC search

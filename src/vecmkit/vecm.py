@@ -81,7 +81,7 @@ def trace_statistics(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:
     lam = _as_finite(eigenvalues, "eigenvalues", ndim=1)
     if np.any(lam < 0) or np.any(lam >= 1):
         raise DomainError("eigenvalues must lie in [0, 1)")
-    return _trace_sums(np.log1p(-lam), t_eff)
+    return _trace_sums(np.log1p(-lam), _as_count(t_eff, "t_eff", 1))
 
 
 def _trace_sums(log_complements: np.ndarray, t_eff: int) -> np.ndarray:

@@ -1,8 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import vecmkit as vk
 from vecmkit import vecm
+from vecmkit.formatting import to_jsonable
 
 
 def make_frame(values, start="2001Q1", names=None):
@@ -12,6 +16,25 @@ def make_frame(values, start="2001Q1", names=None):
     if names is None:
         names = tuple(f"x{i + 1}" for i in range(values.shape[1]))
     return vk.Frame(vk.parse_quarter(start), tuple(names), values)
+
+
+def assert_arrays_survive_json(record):
+    """Every array field of ``record``, and every array of a tuple field,
+    reads back bit for bit from the JSON text of its artifact."""
+    payload = json.loads(json.dumps(to_jsonable(record), indent=2, sort_keys=True))
+    checked = 0
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            pairs = [(payload[f.name], value)]
+        elif isinstance(value, tuple) and all(isinstance(v, np.ndarray) for v in value):
+            pairs = zip(payload[f.name], value)
+        else:
+            continue
+        for encoded, array in pairs:
+            assert np.array(encoded).tobytes() == array.tobytes(), f.name
+            checked += 1
+    assert checked
 
 
 def twin(frame):

@@ -62,6 +62,12 @@ class TestInformationCriteria:
                 crit = information_criteria(-500.0, lag, 4, t_eff)
                 assert crit["sbic"] >= crit["hqic"] >= crit["aic"]
 
+    @pytest.mark.parametrize("lag, n_vars, t_eff", [(5, 2, 3), (0, 2, 1), (3, 4, 13)])
+    def test_too_few_observations_for_the_lag(self, lag, n_vars, t_eff):
+        # T_eff must exceed K j + 1, as in the lag search
+        with pytest.raises(InsufficientDataError, match="^t_eff must exceed"):
+            information_criteria(1.0, lag, n_vars, t_eff)
+
 
 class TestLagOrderSelection:
     def test_common_sample_convention(self, panel69):

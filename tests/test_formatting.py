@@ -6,9 +6,9 @@ import pytest
 
 import vecmkit as vk
 from vecmkit import Frame, QuarterIndex, StatsReport, load_frame, summary_stats, write_frame
-from vecmkit.formatting import from_jsonable, to_jsonable
+from vecmkit.formatting import to_jsonable
 
-from conftest import make_frame
+from conftest import assert_arrays_survive_json, make_frame
 
 
 class TestToJsonable:
@@ -42,52 +42,27 @@ class TestToJsonable:
         }
 
 
-def encoded(record) -> str:
-    return json.dumps(to_jsonable(record), indent=2, sort_keys=True)
-
-
 def vecm_case(panel):
-    fit = vk.fit_vecm(panel, 2, 2)
-    return fit, lambda f: vk.forecast_vecm(f, 12)
+    return vk.fit_vecm(panel, 3, 2)
 
 
 def stage3_case(panel):
     scenario = vk.ShockScenario("exchange_rate", 1.15, panel.end.next(), horizon=12, rank=2)
-    fit = vk.run_three_stage(panel, scenario).stage3_fit
-    return fit, lambda f: vk.forecast_var(f, 12)
+    return vk.run_three_stage(panel, scenario).stage3_fit
 
 
 def varx_case(panel):
     d_frame = vk.first_difference(panel)
     target = "exchange_rate"
-    fit = vk.fit_var(d_frame.drop(target), 2, exog=d_frame.select([target]), exog_lags=1)
-    path = Frame(d_frame.end.next(), (target,), np.linspace(-0.1, 0.1, 12)[:, None])
-    return fit, lambda f: vk.forecast_var(f, 12, exog_path=path)
+    return vk.fit_var(d_frame.drop(target), 2, exog=d_frame.select([target]), exog_lags=1)
 
 
-class TestFromJsonable:
+class TestArtifactPrecision:
+    """An artifact holds its record exactly."""
+
     @pytest.mark.parametrize("case", [vecm_case, stage3_case, varx_case], ids=["vecm", "stage3", "varx"])
-    def test_reloaded_fit_forecasts_bit_equal_and_reencodes_identically(self, panel69, case):
-        fit, forecast = case(panel69)
-        text = encoded(fit)
-        again = from_jsonable(type(fit), json.loads(text))
-        assert forecast(again).values.tobytes() == forecast(fit).values.tobytes()
-        assert encoded(again) == text
-
-    def test_fields_decoded_by_annotation(self, panel69):
-        fit = vk.fit_vecm(panel69, 3, 2)
-        again = from_jsonable(vk.VecmFit, json.loads(encoded(fit)))
-        assert again.sample_start == QuarterIndex(2001, 1)
-        assert again.names == panel69.names and again.beta_pivot == fit.beta_pivot
-        assert isinstance(again.gammas, tuple) and len(again.gammas) == 2
-        for got, want in zip((again.alpha, *again.gammas), (fit.alpha, *fit.gammas)):
-            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-
-    def test_optional_field_and_extra_keys(self, panel69):
-        fit = vk.fit_var(panel69, 1)
-        payload = {**json.loads(encoded(fit)), "selected_rank": 2}
-        again = from_jsonable(vk.VarFit, payload)
-        assert again.exog_values is None and again.exog_names == ()
+    def test_array_fields_survive_json_bit_for_bit(self, panel69, case):
+        assert_arrays_survive_json(case(panel69))
 
 
 class TestWriteFrame:

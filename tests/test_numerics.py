@@ -26,7 +26,6 @@ from vecmkit.errors import (
     SingularDesignError,
     VecmkitError,
 )
-from vecmkit.formatting import from_jsonable
 from vecmkit.numerics import OlsFit
 
 from conftest import cointegrated_panel, random_spd
@@ -526,15 +525,6 @@ def _outside_inputs():
         "trace_statistics": (
             lambda a: vk.trace_statistics(a, 10), np.array([0.5, 0.1]), DomainError, "eigenvalues"
         ),
-        "from_jsonable": (
-            lambda a: from_jsonable(
-                vk.StabilityReport,
-                {"moduli": a.tolist(), "unit_count": 1, "expected_unit_count": 1, "passed": True},
-            ),
-            np.array([1.0, 0.5]),
-            DomainError,
-            "artifact array",
-        ),
         "Frame": (lambda a: vk.Frame(start, ("a", "b"), a), u, NonNumericCellError, "values"),
         "Series": (lambda a: vk.Series("s", start, a), u[:, 0], NonNumericCellError, "values"),
     }
@@ -575,8 +565,12 @@ class TestOutsideArrays:
             lambda: vk.adf_test(vk.Series("p", vk.parse_quarter("2001Q1"), np.arange(20.0)), 2),
             lambda: vk.trace_statistics([np.nan, 0.1], 10),
             lambda: vk.normality_suite(np.ones((10, 2, 2))),
+            lambda: vk.normality_suite(np.ones(20)),
         ],
-        ids=["string cell", "object", "ragged", "series object", "nan eigenvalue", "3-d residuals"],
+        ids=[
+            "string cell", "object", "ragged", "series object", "nan eigenvalue", "3-d residuals",
+            "1-d residuals",
+        ],
     )
     def test_non_array_input_raises_domain_error(self, call):
         with pytest.raises(DomainError):
@@ -613,6 +607,10 @@ _COUNT_INPUTS = {
     "lm_autocorrelation": (lambda n: vk.lm_autocorrelation(_count_subjects()[3], n), 1, "lag"),
     "adf_test": (lambda n: vk.adf_test(_count_subjects()[4], n), 1, "lags"),
     "normality_suite": (lambda n: vk.normality_suite(_count_subjects()[3], n_eff=n), 40, "n_eff"),
+    "information_criteria lag": (lambda n: vk.information_criteria(-500.0, n, 4, 40), 2, "lag"),
+    "information_criteria n_vars": (lambda n: vk.information_criteria(-500.0, 2, n, 40), 4, "n_vars"),
+    "information_criteria t_eff": (lambda n: vk.information_criteria(-500.0, 2, 4, n), 40, "t_eff"),
+    "trace_statistics": (lambda n: vk.trace_statistics(np.array([0.5, 0.1]), n), 10, "t_eff"),
     **{
         f"ShockScenario {name}": (lambda n, name=name: _scenario(**{name: n}), 1, name)
         for name in ("horizon", "vecm_lags", "rank", "stage2_lags", "stage3_lags", "exog_lags")

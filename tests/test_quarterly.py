@@ -297,6 +297,12 @@ class TestOutputProxy:
         with pytest.raises(DomainError):
             proxy_quarterly_output(us, {2001: 0.0}, {2001: 100.0})
 
+    @pytest.mark.parametrize("region, nation", [("a", 100.0), (1.0, None)], ids=["string", "None"])
+    def test_non_numeric_annual(self, region, nation):
+        us = Series("us", QuarterIndex(2001, 1), [1.0])
+        with pytest.raises(DomainError, match=r"^annual values must be real numbers \(year 2001\)$"):
+            proxy_quarterly_output(us, {2001: region}, {2001: nation})
+
     @given(scale=st.floats(0.1, 50.0))
     def test_linear_in_quarterly_input(self, scale):
         base = np.array([3.0, 5.0, 7.0, 11.0])

@@ -376,6 +376,11 @@ class TestScenarioChecks:
             scenario(panel69, **{name: value})
         assert stage_runs == []
 
+    def test_start_label_rejected_before_any_stage(self, panel69, stage_runs):
+        with pytest.raises(DomainError, match="^start must be a QuarterIndex, got '2018Q2'$"):
+            run_three_stage(panel69, vk.ShockScenario("exchange_rate", 1.1, "2018Q2"))
+        assert stage_runs == []
+
     def test_exog_lags_above_stage2_lags(self, panel69):
         with pytest.raises(DomainError, match=r"exog_lags must be in 0\.\.1 \(stage2_lags\), got 3"):
             scenario(panel69, exog_lags=3, stage2_lags=1)
